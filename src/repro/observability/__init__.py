@@ -85,7 +85,6 @@ from .trajectory import (
     append_trajectory,
     load_trajectory,
     machine_info,
-    migrate_legacy_entries,
     resolve_trajectory_path,
     trajectory_record,
     validate_trajectory_record,
@@ -147,7 +146,6 @@ __all__ = [
     "resolve_trajectory_path",
     "append_trajectory",
     "load_trajectory",
-    "migrate_legacy_entries",
     # distributed
     "WorkerTelemetry",
     "BufferedRunLog",

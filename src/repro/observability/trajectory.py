@@ -25,11 +25,9 @@ Record shape (``schema_version`` 1)::
                                          #   speedups, throughputs, gates
     }
 
-The two pre-schema files (``BENCH_rare_events.json``,
-``BENCH_equivocation.json``) remain in place for their original consumers;
-:func:`migrate_legacy_entries` lifts their entries into this schema (with
-``timestamp``/``machine`` of ``None``), which is how the committed
-``BENCH_trajectory.json`` was seeded.
+The committed ``BENCH_trajectory.json`` opens with two records lifted from
+pre-schema benchmark files, which is why their ``timestamp`` and
+``machine`` are ``None``.
 """
 
 from __future__ import annotations
@@ -52,7 +50,6 @@ __all__ = [
     "resolve_trajectory_path",
     "append_trajectory",
     "load_trajectory",
-    "migrate_legacy_entries",
 ]
 
 #: Schema identifier stamped into every record.
@@ -126,7 +123,7 @@ def trajectory_record(
 
     ``timestamp`` and ``machine`` default to the current clock and
     :func:`machine_info`; pass ``None`` explicitly for records whose
-    provenance is unknown (the legacy migration path).
+    provenance is unknown.
     """
     import time
 
@@ -255,28 +252,3 @@ def _load_document(path: str) -> List[dict]:
             f"trajectory file {path!s} 'entries' must be a list"
         )
     return entries
-
-
-def migrate_legacy_entries(benchmark: str, entries: List[dict]) -> List[dict]:
-    """Lift pre-schema ``BENCH_*.json`` entries into trajectory records.
-
-    The legacy files carried flat metric dicts with a ``version`` key and no
-    machine/timestamp provenance; everything except ``version`` becomes the
-    record's ``metrics``, and the unknown provenance fields are ``None``.
-    Legacy benches always recorded full-size workloads, so ``mode`` is
-    ``"full"``.
-    """
-    records = []
-    for entry in entries:
-        metrics = {key: value for key, value in entry.items() if key != "version"}
-        records.append(
-            trajectory_record(
-                benchmark,
-                "full",
-                metrics,
-                version=str(entry.get("version", "unknown")),
-                timestamp=entry.get("timestamp", None),
-                machine=None,
-            )
-        )
-    return records

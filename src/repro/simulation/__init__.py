@@ -77,11 +77,22 @@ Components
     splitting on the worst windowed A-C deficit — reaching violation
     probabilities of ``1e-9`` and below with bounded relative error, where
     plain Monte Carlo bottoms out around ``1e-6``.
+``experiment``
+    :class:`Experiment`: the frozen description of one seeded, cached point
+    — parameters, shape, and whichever of scenario, delay model or dynamics
+    schedule, power profile, placement, :class:`RareEvent` estimator spec
+    or streaming depths it uses.  The fields that are set pick the engine,
+    and the spec's version-free payload is the point's seed and cache
+    identity.
 ``runner``
-    :class:`ExperimentRunner`: seeded, cached, optionally multiprocess
-    experiments over grids of parameter points, (point, scenario) pairs,
-    (point, delay model) topology runs, (point, schedule) dynamics runs
-    and estimator-aware rare-event points.
+    :class:`ExperimentRunner`: one run path for every spec —
+    :meth:`~ExperimentRunner.run` executes (or fetches from the on-disk
+    cache) one point, :meth:`~ExperimentRunner.run_many` a list of them,
+    serially or sharded over a process pool for every kind of point.  The
+    ``run_*`` / ``run_*_grid`` methods are thin wrappers building specs for
+    batch points, (point, scenario) pairs, (point, delay model) topology
+    runs, (point, schedule) dynamics runs, estimator-aware rare-event
+    points and streamed points.
 ``rng``
     The single-generator seeding discipline (:func:`resolve_rng`,
     :func:`spawn_rngs`) threaded through every stochastic component.
@@ -127,6 +138,7 @@ from .network import DeltaDelayNetwork, InFlightMessage
 from .oracle import MiningOracle, ScriptedMiningOracle
 from .protocol import NakamotoSimulation, SimulationResult
 from .rng import resolve_rng, spawn_rngs
+from .experiment import Experiment, RareEvent
 from .runner import ENGINE_VERSION, ExperimentRunner
 from .topology import (
     DelayModel,
@@ -225,8 +237,10 @@ __all__ = [
     "cross_entropy_tilt",
     "draw_tilted_traces",
     "log_likelihood_ratios",
+    "Experiment",
     "ExperimentRunner",
     "ENGINE_VERSION",
+    "RareEvent",
     "SCENARIO_KINDS",
     "Scenario",
     "ScenarioResult",

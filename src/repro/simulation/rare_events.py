@@ -68,6 +68,7 @@ import numpy as np
 from ..backend import (
     ArrayBackend,
     Workspace,
+    chunk_sizes,
     get_backend,
     get_dtype_policy,
     resolve_chunk_cells,
@@ -95,13 +96,6 @@ __all__ = [
 
 #: The estimation methods a :class:`RareEventResult` can carry.
 RARE_EVENT_METHODS = ("plain", "tilted", "splitting")
-
-#: Legacy override hook for the per-chunk cell budget.  ``None`` (the
-#: default) defers to :func:`repro.backend.resolve_chunk_cells` — the one
-#: knob the runner and the estimator both read, so a monkeypatched override
-#: here (or ``REPRO_CHUNK_CELLS`` in the environment) reaches every path.
-#: Read at call time, never cached.
-_RARE_CHUNK_CELLS: Optional[int] = None
 
 #: Tilted probabilities are kept strictly inside (0, 1).
 _PROBABILITY_FLOOR = 1e-12
@@ -491,8 +485,7 @@ class RareEventSimulation:
         engine's window kernels.
     chunk_cells:
         Optional per-chunk cell budget override; ``None`` defers to the
-        module-level ``_RARE_CHUNK_CELLS`` hook and then to the shared
-        :func:`repro.backend.resolve_chunk_cells` configuration
+        shared :func:`repro.backend.resolve_chunk_cells` configuration
         (``REPRO_CHUNK_CELLS``).  An execution knob only for the windowed
         deficit statistics; for the Binomial draw protocol chunk
         boundaries are part of the protocol (each chunk is one vectorized
@@ -538,22 +531,9 @@ class RareEventSimulation:
     def _chunk_cells(self) -> int:
         """The active per-chunk cell budget, resolved at call time.
 
-        Precedence: the instance override > the legacy module hook
-        (``_RARE_CHUNK_CELLS``, kept so existing monkeypatches keep
-        working) > the shared chunking config.
+        Precedence: the instance override > the shared chunking config.
         """
-        if self.chunk_cells is not None:
-            return self.chunk_cells
-        return resolve_chunk_cells(_RARE_CHUNK_CELLS)
-
-    def _chunk_sizes(self, trials: int, rounds: int) -> list:
-        chunk = max(int(self._chunk_cells() // max(rounds, 1)), 1)
-        sizes = []
-        remaining = int(trials)
-        while remaining > 0:
-            sizes.append(min(chunk, remaining))
-            remaining -= sizes[-1]
-        return sizes
+        return resolve_chunk_cells(self.chunk_cells)
 
     def _deficits(self, honest, adversary):
         """Worst windowed deficits plus block totals for pre-drawn tensors."""
@@ -579,7 +559,7 @@ class RareEventSimulation:
         with _TRACE.span(
             "rare.plain", trials=int(trials), rounds=int(rounds), depth=self.depth
         ):
-            for chunk in self._chunk_sizes(trials, rounds):
+            for chunk in chunk_sizes(trials, rounds, self._chunk_cells()):
                 honest, adversary = draw_mining_traces(
                     self.params,
                     chunk,
@@ -675,7 +655,7 @@ class RareEventSimulation:
             rounds=int(rounds),
             depth=self.depth,
         ):
-            for chunk in self._chunk_sizes(trials, rounds):
+            for chunk in chunk_sizes(trials, rounds, self._chunk_cells()):
                 honest, adversary = draw_tilted_traces(
                     self.params,
                     tilt,

@@ -1,29 +1,36 @@
-"""Experiment orchestration on top of the batch Monte Carlo engines.
+"""Experiment orchestration on top of the Monte Carlo engines.
 
-:class:`ExperimentRunner` turns the raw :class:`~repro.simulation.batch.BatchSimulation`
-and the adversarial :class:`~repro.simulation.scenarios.ScenarioSimulation`
-into sweep-scale tools:
+Every point :class:`ExperimentRunner` executes is one frozen
+:class:`~repro.simulation.experiment.Experiment` spec, and every point runs
+through one spine, :meth:`ExperimentRunner.run`; every grid is a list of
+specs run through :meth:`ExperimentRunner.run_many`.  The spec's fields
+pick the engine (batch, scenario, topology, dynamics, rare-event or
+streaming), the cache prefix and the manifest method name; the spine adds:
 
-* **deterministic seeding** — every parameter point (and every
-  (point, scenario) pair) gets its own :class:`numpy.random.SeedSequence`
-  derived from the runner's base seed and the point's cache key, so a
-  point's result is identical whether it is run alone, inside a grid,
-  serially or sharded across processes;
-* **multiprocessing sharding** — grids of parameter points can be fanned out
-  over a :mod:`multiprocessing` pool (one point per task; the batch engine
-  already vectorizes over trials within a point).  Every grid — serial or
-  sharded — runs through one :meth:`ExperimentRunner._run_grid` spine that
-  opens a grid-level tracer span, reports per-point progress to the
-  optional :class:`~repro.observability.GridProgress` sinks, and, on the
-  sharded path, ships each worker's spans / metrics / manifest records back
-  with its result and merges them into the parent's observability state
-  (see :mod:`repro.observability.distributed`), so a sharded grid reports
-  exactly like a sequential one;
-* **on-disk caching** — results are persisted as ``.npz`` files keyed by a
-  digest of ``(engine version, parameters, trials, rounds, draw mode, base
-  seed[, scenario])``, so repeated sweeps (e.g. re-running a benchmark or
-  extending a grid) only pay for the new points.  Scenario results cache
-  their per-trial aggregates; per-round record tensors are never persisted.
+* **deterministic seeding** — every spec gets its own
+  :class:`numpy.random.SeedSequence` derived from the runner's base seed
+  and the spec's version-free identity digest, so a point's result is
+  identical whether it is run alone, inside a grid, serially or sharded
+  across processes;
+* **on-disk caching** — results are persisted as ``.npz`` files (a JSON
+  ``meta`` entry plus named arrays) keyed by a digest of the identity plus
+  the package version, so repeated sweeps only pay for new points.  Scenario
+  results cache their per-trial aggregates (per-round record tensors are
+  never persisted) and streamed results their accumulator state.  An
+  unreadable entry is a miss: it is recomputed and overwritten, with a
+  WARNING naming the file and a ``runner.<method>.cache_corrupt`` count;
+* **multiprocessing sharding** — :meth:`~ExperimentRunner.run_many` fans
+  specs out over a :mod:`multiprocessing` pool, one pickled spec per task,
+  for every kind of point (topology and dynamics grids included).  Serial
+  and sharded grids run under one grid-level tracer span and report
+  per-point progress to the optional
+  :class:`~repro.observability.GridProgress` sinks; the sharded path ships
+  each worker's spans / metrics / manifest records back with its result and
+  merges them into the parent's observability state (see
+  :mod:`repro.observability.distributed`), so a sharded grid reports
+  exactly like a sequential one.
+
+The ``run_*`` / ``run_*_grid`` methods are thin wrappers that build specs.
 """
 
 from __future__ import annotations
@@ -33,8 +40,9 @@ import json
 import logging
 import os
 import time
-from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Union
+import zipfile
+from dataclasses import dataclass, fields
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -46,7 +54,7 @@ from ..backend import (
     get_backend,
     get_dtype_policy,
 )
-from ..errors import SimulationError
+from ..errors import ReproError, SimulationError
 from ..observability import (
     METRICS as _METRICS,
     TRACE as _TRACE,
@@ -63,18 +71,14 @@ from ..observability import (
 )
 from ..params import ProtocolParameters
 from .batch import DRAW_MODES, BatchResult, BatchSimulation
-from .rare_events import (
-    RARE_EVENT_METHODS,
-    ExponentialTilt,
-    RareEventResult,
-    RareEventSimulation,
-)
 from .dynamics import (
     AdversaryPlacement,
     DynamicsSchedule,
     PartitionScenario,
     TimeVaryingDelayModel,
 )
+from .experiment import Experiment, RareEvent, params_payload
+from .rare_events import ExponentialTilt, RareEventResult, RareEventSimulation
 from .scenarios import Scenario, ScenarioResult, ScenarioSimulation, get_scenario
 from .streaming import (
     StreamingBatchResult,
@@ -100,90 +104,98 @@ _LOGGER = logging.getLogger(__name__)
 #: silently reuse a cache written by an older release.
 ENGINE_VERSION = 1
 
+#: Cache prefix -> the result type its entries decode into.
+_RESULT_TYPES = {
+    "batch": BatchResult,
+    "topology": BatchResult,
+    "dynamics": BatchResult,
+    "scenario": ScenarioResult,
+    "dynamics_scenario": ScenarioResult,
+    "rare": RareEventResult,
+    "stream": StreamingBatchResult,
+    "stream_scenario": StreamingScenarioResult,
+}
 
-def _params_payload(params: ProtocolParameters) -> dict:
-    """The primary fields of ``params`` (enough to reconstruct it exactly)."""
-    return {
-        "p": params.p,
-        "n": params.n,
-        "delta": params.delta,
-        "nu": params.nu,
-        "strict_model": params.strict_model,
-    }
+_STREAMED = (StreamingBatchResult, StreamingScenarioResult)
 
-
-def _params_from_payload(payload: dict) -> ProtocolParameters:
-    return ProtocolParameters(
-        p=float(payload["p"]),
-        n=int(payload["n"]),
-        delta=int(payload["delta"]),
-        nu=float(payload["nu"]),
-        strict_model=bool(payload.get("strict_model", True)),
-    )
+#: What reading a damaged, truncated or foreign cache entry can raise.
+_UNREADABLE = (
+    OSError,
+    EOFError,
+    ValueError,
+    KeyError,
+    TypeError,
+    AttributeError,
+    zipfile.BadZipFile,
+    ReproError,
+)
 
 
 def _scenario_from_payload(payload: dict) -> Scenario:
-    common = dict(
-        name=str(payload["name"]),
-        kind=str(payload["kind"]),
-        honest_delay=(
-            None if payload["honest_delay"] is None else int(payload["honest_delay"])
-        ),
-        target_depth=int(payload["target_depth"]),
-        give_up_deficit=(
-            None
-            if payload["give_up_deficit"] is None
-            else int(payload["give_up_deficit"])
-        ),
-    )
-    if "partition_start" in payload:
-        cut_fraction = payload.get("cut_fraction")
-        return PartitionScenario(
-            partition_start=int(payload["partition_start"]),
-            partition_duration=int(payload["partition_duration"]),
-            cut_fraction=(
-                None if cut_fraction is None else float(cut_fraction)
-            ),
-            **common,
-        )
-    return Scenario(**common)
+    kind = PartitionScenario if "partition_start" in payload else Scenario
+    return kind(**payload)
 
 
-def _batch_result_digest(result: BatchResult) -> str:
-    """Manifest digest of a batch result's persisted arrays."""
-    return digest_arrays(
-        convergence_opportunities=result.convergence_opportunities,
-        honest_blocks=result.honest_blocks,
-        adversary_blocks=result.adversary_blocks,
-        worst_deficits=result.worst_deficits,
-    )
+#: Decoders of the result fields a cache entry stores as JSON payloads.
+_FIELD_DECODERS = {
+    "params": lambda payload: ProtocolParameters(**payload),
+    "scenario": _scenario_from_payload,
+    "tilt": lambda payload: None if payload is None else ExponentialTilt(**payload),
+}
 
 
-def _scenario_result_digest(result: ScenarioResult) -> str:
-    """Manifest digest of a scenario result's persisted per-trial arrays."""
-    return digest_arrays(
-        **{
-            name: getattr(result, name)
-            for name in ExperimentRunner._SCENARIO_ARRAYS
-        }
-    )
+def _encode(result) -> Tuple[dict, dict]:
+    """``(meta, arrays)``: one result as JSON metadata plus named arrays.
 
-
-def _stream_result_digest(result) -> str:
-    """Manifest digest of a streamed result's full statistical state.
-
-    Streamed results are summary-only, so the digest covers the complete
-    accumulator payload rather than per-trial arrays — two runs digest
-    equal exactly when every tallied statistic is bit-identical.
+    Streamed results are summary-only and store their accumulator state;
+    every other result stores each array field as a named array and every
+    other field in the metadata (parameters, scenario and tilt as their
+    payloads).
     """
-    blob = json.dumps(result.payload(), sort_keys=True)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    if isinstance(result, _STREAMED):
+        values = {"params": result.params, "state": result.payload()}
+        if isinstance(result, StreamingScenarioResult):
+            values["scenario"] = result.scenario
+    else:
+        values = {item.name: getattr(result, item.name) for item in fields(result)}
+    meta, arrays = {}, {}
+    for name, value in values.items():
+        if isinstance(value, np.ndarray):
+            arrays[name] = value
+        elif name == "params":
+            meta[name] = params_payload(value)
+        else:
+            meta[name] = value.payload() if hasattr(value, "payload") else value
+    return meta, arrays
 
 
-def _rare_result_digest(result: RareEventResult) -> str:
-    """Manifest digest of a rare-event estimate's headline numbers."""
-    blob = json.dumps(
-        {
+def _decode(result_type, meta: dict, archive):
+    """The inverse of :func:`_encode` for one cache entry's contents."""
+    names = {item.name for item in fields(result_type)}
+    values = {}
+    for name in names & set(archive.files):
+        array = archive[name]
+        # Entries written before optional arrays were omitted stored
+        # ``None`` as an empty array; no persisted array is otherwise empty.
+        values[name] = array if array.size else None
+    for name in names & set(meta):
+        decode = _FIELD_DECODERS.get(name)
+        values[name] = meta[name] if decode is None else decode(meta[name])
+    if "state" in meta:
+        return result_type.from_payload(meta["state"], **values)
+    return result_type(**values)
+
+
+def _result_digest(result) -> str:
+    """The manifest digest of a result.
+
+    Per-trial results digest their persisted arrays; streamed results their
+    full accumulator state; rare-event estimates their headline numbers.
+    """
+    if isinstance(result, _STREAMED):
+        blob = result.payload()
+    elif isinstance(result, RareEventResult):
+        blob = {
             "probability": result.probability,
             "ci_low": result.ci_low,
             "ci_high": result.ci_high,
@@ -192,10 +204,15 @@ def _rare_result_digest(result: RareEventResult) -> str:
             "hits": result.hits,
             "pilot_iterations": result.pilot_iterations,
             "tilt": None if result.tilt is None else result.tilt.payload(),
-        },
-        sort_keys=True,
-    )
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        }
+    else:
+        return digest_arrays(**_encode(result)[1])
+    return _digest(blob)
+
+
+def _digest(payload: dict) -> str:
+    canonical = json.dumps(payload, sort_keys=True)
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 @dataclass
@@ -217,20 +234,27 @@ class _WorkerOutcome:
     telemetry: Optional[WorkerTelemetry]
 
 
-def _worker_runner(capture, base_seed, draw_mode, cache_dir) -> "ExperimentRunner":
-    """A worker-process runner wired into the telemetry capture context."""
-    return ExperimentRunner(
-        base_seed=base_seed,
-        cache_dir=cache_dir,
-        processes=None,
-        draw_mode=draw_mode,
-        run_log=capture.run_log,
-        progress=(),
-    )
+def _run_task(task: tuple) -> tuple:
+    """Pool worker: run one pickled spec, return ``(index, _WorkerOutcome)``.
 
-
-def _worker_outcome(runner, result, started, capture) -> _WorkerOutcome:
-    return _WorkerOutcome(
+    The index lets the parent reorder ``imap_unordered`` completions
+    deterministically, and the capture flags (computed by the *parent* from
+    its own observability state) scope a tracer / metrics registry /
+    buffering run log around the point so spans, counters and manifest
+    records survive the pool boundary instead of dying with the worker.
+    """
+    index, flags, spec, base_seed, draw_mode, cache_dir = task
+    started = time.perf_counter()
+    with capture_worker_telemetry(**flags) as capture:
+        runner = ExperimentRunner(
+            base_seed=base_seed,
+            cache_dir=cache_dir,
+            draw_mode=draw_mode,
+            run_log=capture.run_log,
+            progress=(),
+        )
+        result = runner.run(spec)
+    return index, _WorkerOutcome(
         result=result,
         cache_hits=runner.cache_hits,
         cache_misses=runner.cache_misses,
@@ -240,139 +264,66 @@ def _worker_outcome(runner, result, started, capture) -> _WorkerOutcome:
     )
 
 
-def _run_point_task(args: tuple) -> tuple:
-    """Top-level worker so grid points can be shipped to a process pool.
-
-    Every worker task has the shape ``(index, capture_flags, *payload)``
-    and returns ``(index, _WorkerOutcome)``: the index lets the parent
-    reorder ``imap_unordered`` completions deterministically, and the
-    capture flags (computed by the *parent* from its own observability
-    state) scope a tracer / metrics registry / buffering run log around the
-    point so spans, counters and manifest records survive the pool
-    boundary instead of dying with the worker.
-    """
-    index, flags, payload, trials, rounds, base_seed, draw_mode, cache_dir = args
-    started = time.perf_counter()
-    with capture_worker_telemetry(**flags) as capture:
-        runner = _worker_runner(capture, base_seed, draw_mode, cache_dir)
-        result = runner.run_point(_params_from_payload(payload), trials, rounds)
-    return index, _worker_outcome(runner, result, started, capture)
-
-
-def _run_scenario_point_task(args: tuple) -> tuple:
-    """Top-level worker for scenario grid points (process-pool friendly)."""
-    (
-        index,
-        flags,
-        payload,
-        scenario_payload,
-        trials,
-        rounds,
-        base_seed,
-        draw_mode,
-        cache_dir,
-    ) = args
-    started = time.perf_counter()
-    with capture_worker_telemetry(**flags) as capture:
-        runner = _worker_runner(capture, base_seed, draw_mode, cache_dir)
-        result = runner.run_scenario_point(
-            _params_from_payload(payload),
-            _scenario_from_payload(scenario_payload),
-            trials,
-            rounds,
+def _topology_spec(params, trials, rounds, delay_model, power) -> Experiment:
+    model = resolve_delay_model(delay_model)
+    if model is None:
+        raise SimulationError(
+            "run_topology_point requires a delay model; use run_point for "
+            "the fixed-delta default"
         )
-    return index, _worker_outcome(runner, result, started, capture)
+    return Experiment(params, trials, rounds, delay_model=model, power=power)
 
 
-def _run_rare_event_point_task(args: tuple) -> tuple:
-    """Top-level worker for rare-event grid points.
+def _dynamics_fields(
+    schedule: Optional[DynamicsSchedule],
+    topology: Optional[PeerGraphTopology],
+    scenario: Union[None, str, Scenario],
+    power: Optional[MiningPowerProfile],
+    placement: Optional[AdversaryPlacement],
+) -> dict:
+    """Spec fields of a dynamics point: the schedule wrapped as a delay model.
 
-    The estimator spec travels as the flat payload dict
-    :meth:`ExperimentRunner._rare_event_spec` builds; an explicit tilt is
-    reconstructed from its payload, so the task tuple stays picklable.
+    ``schedule`` defaults to the scenario's own cut when it is a
+    :class:`~repro.simulation.dynamics.PartitionScenario`, else empty.
     """
-    index, flags, payload, spec, trials, rounds, base_seed, draw_mode, cache_dir = args
-    started = time.perf_counter()
-    with capture_worker_telemetry(**flags) as capture:
-        runner = _worker_runner(capture, base_seed, draw_mode, cache_dir)
-        tilt_payload = spec["tilt"]
-        result = runner.run_rare_event_point(
-            _params_from_payload(payload),
-            trials,
-            rounds,
-            spec["depth"],
-            method=spec["method"],
-            tilt=(
-                None if tilt_payload is None else ExponentialTilt(**tilt_payload)
-            ),
-            pilot_trials=spec["pilot_trials"],
-            elite_fraction=spec["elite_fraction"],
-            max_iterations=spec["max_iterations"],
-            smoothing=spec["smoothing"],
+    if scenario is not None:
+        scenario = get_scenario(scenario)
+    if schedule is None:
+        schedule = (
+            scenario.dynamics_schedule()
+            if isinstance(scenario, PartitionScenario)
+            else DynamicsSchedule()
         )
-    return index, _worker_outcome(runner, result, started, capture)
-
-
-def _run_streaming_point_task(args: tuple) -> tuple:
-    """Top-level worker for streamed grid points (process-pool friendly).
-
-    Chunk-invariant per-block seeding makes the shard's streamed summary
-    bit-identical to the serial path's, whatever ``chunk_cells`` either
-    side uses — the worker only needs the point payload, the optional
-    scenario payload and the depth list.
-    """
-    (
-        index,
-        flags,
-        payload,
-        scenario_payload,
-        depths,
-        chunk_cells,
-        trials,
-        rounds,
-        base_seed,
-        draw_mode,
-        cache_dir,
-    ) = args
-    started = time.perf_counter()
-    with capture_worker_telemetry(**flags) as capture:
-        runner = _worker_runner(capture, base_seed, draw_mode, cache_dir)
-        result = runner.run_streaming_point(
-            _params_from_payload(payload),
-            trials,
-            rounds,
-            depths=tuple(depths),
-            scenario=(
-                None
-                if scenario_payload is None
-                else _scenario_from_payload(scenario_payload)
-            ),
-            chunk_cells=chunk_cells,
-        )
-    return index, _worker_outcome(runner, result, started, capture)
+    return dict(
+        scenario=scenario,
+        delay_model=TimeVaryingDelayModel(schedule, topology=topology),
+        power=power,
+        placement=placement,
+    )
 
 
 class ExperimentRunner:
-    """Seeded, cached, optionally parallel batch experiments.
+    """Seeded, cached, optionally parallel experiments.
 
     Parameters
     ----------
     base_seed:
-        Root of all randomness: combined with each point's cache key to
-        derive that point's :class:`~numpy.random.SeedSequence`.
+        Root of all randomness: combined with each point's identity digest
+        to derive that point's :class:`~numpy.random.SeedSequence`.
     cache_dir:
         Directory for on-disk result caching; ``None`` disables caching.
     processes:
-        Number of worker processes for :meth:`run_grid`; ``None`` or ``1``
-        runs serially in-process.
+        Number of worker processes for grids; ``None`` or ``1`` runs
+        serially in-process.
     draw_mode:
-        Forwarded to :class:`~repro.simulation.batch.BatchSimulation`.
+        Forwarded to the engines (see
+        :class:`~repro.simulation.batch.BatchSimulation`).
     run_log:
-        Where to append one JSONL run-manifest record per ``run_*`` point
-        call: a path, an open :class:`~repro.observability.RunLog`, or
-        ``None`` to consult the ``REPRO_RUN_LOG`` environment variable
-        (unset means no logging).  The conventional location is
-        ``<cache_dir>/run_log.jsonl`` next to the npz cache.
+        Where to append one JSONL run-manifest record per point: a path, an
+        open :class:`~repro.observability.RunLog`, or ``None`` to consult
+        the ``REPRO_RUN_LOG`` environment variable (unset means no
+        logging).  The conventional location is ``<cache_dir>/run_log.jsonl``
+        next to the npz cache.
     progress:
         Grid-progress configuration, resolved by
         :func:`~repro.observability.resolve_progress_sinks`: ``None``
@@ -406,7 +357,7 @@ class ExperimentRunner:
         self.cache_hits = 0
         self.cache_misses = 0
         # Warm cache entries skipped because they were written by a different
-        # package release (counted by _cached_run via the sidecar index).
+        # package release (counted by run() via the sidecar index).
         self.version_skips = 0
         # One scratch workspace shared across every point this runner
         # executes in-process: repeated (trials, rounds) grid points reuse
@@ -418,85 +369,23 @@ class ExperimentRunner:
     # ------------------------------------------------------------------
     # Keys and seeds
     # ------------------------------------------------------------------
-    def _point_payload(
-        self,
-        params: ProtocolParameters,
-        trials: int,
-        rounds: int,
-        scenario: Optional[Union[str, Scenario]] = None,
-        delay_model: Optional[DelayModel] = None,
-        power: Optional[MiningPowerProfile] = None,
-        placement: Optional[AdversaryPlacement] = None,
-        rare_event: Optional[dict] = None,
-        streaming: Optional[dict] = None,
-    ) -> dict:
-        """The version-free description of one experiment point.
+    def _keys(self, payload: dict) -> Tuple[str, str]:
+        """``(identity, key)`` digests for one spec payload.
 
-        ``streaming`` marks the point as a streamed run (its own draw
-        protocol, hence its own cache slot and seed stream) and carries
-        only statistics-affecting knobs — ``chunk_cells`` is deliberately
-        excluded because results are bit-identical across chunk sizes.
+        The *identity* hashes the version-free point description — the
+        digest that seeds the point and names its sidecar index file — while
+        the *key* additionally folds in the package version and any
+        non-default backend / dtype-policy, exactly as :meth:`cache_key`
+        documents.
         """
-        payload = {
-            "engine_version": ENGINE_VERSION,
-            "params": _params_payload(params),
-            "trials": int(trials),
-            "rounds": int(rounds),
-            "draw_mode": self.draw_mode,
-            "base_seed": self.base_seed,
-        }
-        if scenario is not None:
-            payload["scenario"] = get_scenario(scenario).payload()
-        if delay_model is not None:
-            payload["delay_model"] = delay_model.payload()
-        if power is not None:
-            payload["power"] = power.payload()
-        if placement is not None:
-            payload["placement"] = placement.payload()
-        if rare_event is not None:
-            payload["rare_event"] = rare_event
-        if streaming is not None:
-            payload["streaming"] = streaming
-        return payload
-
-    @staticmethod
-    def _digest(payload: dict) -> str:
-        canonical = json.dumps(payload, sort_keys=True)
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-    def _point_identity_key(
-        self,
-        params: ProtocolParameters,
-        trials: int,
-        rounds: int,
-        scenario: Optional[Union[str, Scenario]] = None,
-        delay_model: Optional[DelayModel] = None,
-        power: Optional[MiningPowerProfile] = None,
-        placement: Optional[AdversaryPlacement] = None,
-        rare_event: Optional[dict] = None,
-        streaming: Optional[dict] = None,
-    ) -> tuple:
-        """``(identity, key)`` digests for one point.
-
-        The *identity* hashes the version-free point payload — the digest
-        that seeds the point and names its sidecar index file — while the
-        *key* additionally folds in the package version and any non-default
-        backend / dtype-policy, exactly as :meth:`cache_key` documents.
-        """
-        payload = self._point_payload(
-            params,
-            trials,
-            rounds,
-            scenario,
-            delay_model,
-            power,
-            placement,
-            rare_event,
-            streaming,
+        payload = dict(
+            payload,
+            engine_version=ENGINE_VERSION,
+            draw_mode=self.draw_mode,
+            base_seed=self.base_seed,
         )
-        identity = self._digest(payload)
-        versioned = dict(payload)
-        versioned["package_version"] = _version.__version__
+        identity = _digest(payload)
+        payload["package_version"] = _version.__version__
         # Non-default backends and dtype policies get their own cache slots
         # (compact float statistics differ within a documented tolerance;
         # accelerator kernels need not be bit-reproducible across devices).
@@ -506,11 +395,11 @@ class ExperimentRunner:
         # bit stream on every backend (see seed_sequence_for).
         backend = get_backend()
         if backend.name != DEFAULT_BACKEND:
-            versioned["backend"] = backend.payload()
+            payload["backend"] = backend.payload()
         policy = get_dtype_policy()
         if policy.name != WIDE_POLICY.name:
-            versioned["dtype_policy"] = policy.payload()
-        return identity, self._digest(versioned)
+            payload["dtype_policy"] = policy.payload()
+        return identity, _digest(payload)
 
     def _seed_from_identity(self, identity: str) -> np.random.SeedSequence:
         """Base seed plus entropy words sliced from the identity digest."""
@@ -518,6 +407,23 @@ class ExperimentRunner:
             int(identity[index : index + 8], 16) for index in range(0, 32, 8)
         ]
         return np.random.SeedSequence([self.base_seed, *words])
+
+    @staticmethod
+    def _key_spec(
+        params, trials, rounds, scenario, delay_model, power, placement, rare_event
+    ) -> Experiment:
+        if rare_event is not None and not isinstance(rare_event, RareEvent):
+            rare_event = RareEvent(**rare_event)
+        return Experiment(
+            params,
+            trials,
+            rounds,
+            scenario=scenario,
+            delay_model=delay_model,
+            power=power,
+            placement=placement,
+            rare=rare_event,
+        )
 
     def cache_key(
         self,
@@ -528,7 +434,7 @@ class ExperimentRunner:
         delay_model: Union[None, str, DelayModel] = None,
         power: Optional[MiningPowerProfile] = None,
         placement: Optional[AdversaryPlacement] = None,
-        rare_event: Optional[dict] = None,
+        rare_event: Union[None, dict, RareEvent] = None,
     ) -> str:
         """Hex digest identifying one (version, engine, params, shape, seed, …) result.
 
@@ -537,24 +443,18 @@ class ExperimentRunner:
         the whole schedule payload (event list, and the topology digest when
         one is wired) into the key, so two runs differing only in when a
         partition heals never collide; rare-event runs fold the full
-        estimator spec (depth, method, explicit tilt, pilot knobs), so two
-        estimates differing only in pilot configuration never collide.  The
-        package version is always included, so a cache written by an older
-        release (whose engine semantics may have since changed) is never
-        silently reused — an upgrade simply recomputes and re-stores under
-        the new key.
+        estimator spec (depth, method, explicit tilt, pilot knobs; a dict
+        is read as :class:`RareEvent` keyword arguments), so two estimates
+        differing only in pilot configuration never collide.  The package
+        version is always included, so a cache written by an older release
+        (whose engine semantics may have since changed) is never silently
+        reused — an upgrade simply recomputes and re-stores under the new
+        key.
         """
-        _, key = self._point_identity_key(
-            params,
-            trials,
-            rounds,
-            scenario=scenario,
-            delay_model=resolve_delay_model(delay_model),
-            power=power,
-            placement=placement,
-            rare_event=rare_event,
+        spec = self._key_spec(
+            params, trials, rounds, scenario, delay_model, power, placement, rare_event
         )
-        return key
+        return self._keys(spec.payload())[1]
 
     def seed_sequence_for(
         self,
@@ -565,7 +465,7 @@ class ExperimentRunner:
         delay_model: Union[None, str, DelayModel] = None,
         power: Optional[MiningPowerProfile] = None,
         placement: Optional[AdversaryPlacement] = None,
-        rare_event: Optional[dict] = None,
+        rare_event: Union[None, dict, RareEvent] = None,
     ) -> np.random.SeedSequence:
         """The point's seed sequence: base seed plus point-digest entropy words.
 
@@ -577,22 +477,15 @@ class ExperimentRunner:
         invalidates caches but must not silently reroll every seeded
         experiment.
         """
-        identity, _ = self._point_identity_key(
-            params,
-            trials,
-            rounds,
-            scenario=scenario,
-            delay_model=resolve_delay_model(delay_model),
-            power=power,
-            placement=placement,
-            rare_event=rare_event,
+        spec = self._key_spec(
+            params, trials, rounds, scenario, delay_model, power, placement, rare_event
         )
-        return self._seed_from_identity(identity)
+        return self._seed_from_identity(self._keys(spec.payload())[0])
 
     # ------------------------------------------------------------------
     # Cache persistence
     # ------------------------------------------------------------------
-    def _cache_path(self, key: str, prefix: str = "batch") -> Optional[str]:
+    def _cache_path(self, key: str, prefix: str) -> Optional[str]:
         if self.cache_dir is None:
             return None
         return os.path.join(self.cache_dir, f"{prefix}_{key}.npz")
@@ -609,33 +502,42 @@ class ExperimentRunner:
             return None
         return os.path.join(self.cache_dir, f"{prefix}_{identity}.latest.json")
 
-    def _stale_cache_version(self, prefix: str, identity: str) -> Optional[str]:
+    @staticmethod
+    def _unreadable(path: str, method: str, error: Exception) -> None:
+        _LOGGER.warning(
+            "cache file %s is unreadable (%s: %s); recomputing it",
+            path,
+            type(error).__name__,
+            error,
+        )
+        _METRICS.increment(f"runner.{method}.cache_corrupt")
+
+    def _stale_cache_version(
+        self, prefix: str, identity: str, method: str
+    ) -> Optional[str]:
         """The writer version of a warm-but-unusable cache slot, if any.
 
         Returns the package version recorded by the last writer of this
         point's sidecar index when it differs from the running version —
         i.e. the miss about to be recomputed had a warm entry that a release
-        bump invalidated.  Missing or unreadable sidecars mean a plain cold
-        miss (``None``).
+        bump invalidated.  A missing sidecar means a plain cold miss
+        (``None``); an unreadable one is reported like a damaged entry.
         """
         path = self._cache_index_path(prefix, identity)
-        if path is None or not os.path.exists(path):
+        if not os.path.exists(path):
             return None
         try:
             with open(path, "r", encoding="utf-8") as source:
-                index = json.load(source)
-        except (OSError, json.JSONDecodeError):
+                version = json.load(source)["package_version"]
+        except _UNREADABLE as error:
+            self._unreadable(path, method, error)
             return None
-        version = index.get("package_version")
         if version is not None and str(version) != _version.__version__:
             return str(version)
         return None
 
     def _write_cache_index(self, prefix: str, identity: str, key: str) -> None:
         path = self._cache_index_path(prefix, identity)
-        if path is None:
-            return
-        os.makedirs(os.path.dirname(path), exist_ok=True)
         temporary = f"{path}.tmp.{os.getpid()}"
         with open(temporary, "w", encoding="utf-8") as sink:
             json.dump(
@@ -645,39 +547,126 @@ class ExperimentRunner:
             )
         os.replace(temporary, path)
 
-    def _cached_run(
-        self,
-        method: str,
-        prefix: str,
-        identity: str,
-        key: str,
-        load,
-        store,
-        compute,
-        result_digest,
-        params: ProtocolParameters,
-        trials: int,
-        rounds: int,
-        extra: Optional[dict] = None,
-    ):
-        """The shared load-or-compute-and-store path of every ``run_*`` point.
+    def _load(self, path: str, prefix: str, method: str):
+        """The cached result at ``path``; ``None`` when absent or unreadable."""
+        if not os.path.exists(path):
+            return None
+        try:
+            with np.load(path, allow_pickle=False) as archive:
+                meta = json.loads(str(archive["meta"]))
+                return _decode(_RESULT_TYPES[prefix], meta, archive)
+        except _UNREADABLE as error:
+            self._unreadable(path, method, error)
+            return None
 
-        One place owns the cache consultation, the hit/miss/version-skip
-        accounting (instance counters *and* ``runner.<method>.*`` metrics),
-        the ``runner.<method>`` tracer span, the sidecar index update and
-        the optional run-manifest append — so every engine the runner fronts
-        reports identically.
+    def _store(self, path: str, result) -> None:
+        meta, arrays = _encode(result)
+        meta.update(
+            engine_version=ENGINE_VERSION,
+            package_version=_version.__version__,
+            base_seed=self.base_seed,
+        )
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        temporary = f"{path}.tmp.{os.getpid()}"
+        np.savez(
+            temporary, meta=np.asarray(json.dumps(meta, sort_keys=True)), **arrays
+        )
+        os.replace(f"{temporary}.npz", path)
+
+    # ------------------------------------------------------------------
+    # The run path
+    # ------------------------------------------------------------------
+    def _compute(self, spec: Experiment, seed: np.random.SeedSequence):
+        """Run the spec's engine under its seed (the one compute dispatch)."""
+        params, trials, rounds = spec.params, spec.trials, spec.rounds
+        if spec.depths is not None:
+            common = dict(
+                seed=seed,
+                draw_mode=self.draw_mode,
+                workspace=self.workspace,
+                chunk_cells=spec.chunk_cells,
+            )
+            if spec.scenario is None:
+                return StreamingBatchSimulation(params, **common).run(
+                    trials,
+                    rounds,
+                    depths=list(spec.depths),
+                    progress=self.progress_sinks,
+                )
+            return StreamingScenarioSimulation(
+                params, spec.scenario, **common
+            ).run(trials, rounds, progress=self.progress_sinks)
+        rng = np.random.default_rng(seed)
+        rare = spec.rare
+        if rare is not None:
+            estimator = RareEventSimulation(
+                params, rare.depth, rng=rng, workspace=self.workspace
+            )
+            if rare.method == "plain":
+                return estimator.run_plain(trials, rounds)
+            if rare.method == "splitting":
+                return estimator.run_splitting(trials, rounds)
+            return estimator.run_tilted(
+                trials,
+                rounds,
+                tilt=rare.tilt,
+                pilot_trials=rare.pilot_trials,
+                elite_fraction=rare.elite_fraction,
+                max_iterations=rare.max_iterations,
+                smoothing=rare.smoothing,
+            )
+        if spec.scenario is None:
+            return BatchSimulation(
+                params,
+                rng=rng,
+                draw_mode=self.draw_mode,
+                delay_model=spec.delay_model,
+                power=spec.power,
+                workspace=self.workspace,
+            ).run(trials, rounds)
+        partial = getattr(spec.scenario, "cut_fraction", None) is not None
+        return ScenarioSimulation(
+            params,
+            spec.scenario,
+            rng=rng,
+            draw_mode=self.draw_mode,
+            # The two-component scan replaces the delay model for partial
+            # cuts; ScenarioSimulation rejects the combination explicitly.
+            delay_model=None if partial else spec.delay_model,
+            power=spec.power,
+            placement=spec.placement,
+            workspace=self.workspace,
+        ).run(trials, rounds)
+
+    def run(self, spec: Experiment):
+        """Run (or fetch from cache) one experiment point.
+
+        The one load-or-compute-and-store path: it owns the cache
+        consultation, the hit/miss/version-skip accounting (instance
+        counters *and* ``runner.<method>.*`` metrics), the
+        ``runner.<method>`` tracer span, the sidecar index update and the
+        optional run-manifest append — so every engine reports identically.
+        Rare-event points need the binomial draw mode: the exponential-tilt
+        likelihood ratios are exact for the Binomial per-round law only.
         """
+        if spec.rare is not None and self.draw_mode != "binomial":
+            raise SimulationError(
+                "rare-event estimation supports only the binomial draw mode; "
+                f"this runner uses {self.draw_mode!r}"
+            )
         start = time.perf_counter()
+        method, prefix = spec.method, spec.prefix
+        payload = spec.payload()
+        identity, key = self._keys(payload)
         path = self._cache_path(key, prefix)
         stale_version = None
         with _TRACE.span(
             f"runner.{method}",
             prefix=prefix,
-            trials=int(trials),
-            rounds=int(rounds),
+            trials=int(spec.trials),
+            rounds=int(spec.rounds),
         ) as span:
-            cached = load(path) if path is not None else None
+            cached = self._load(path, prefix, method) if path is not None else None
             if cached is not None:
                 cache_state = "hit"
                 self.cache_hits += 1
@@ -688,7 +677,9 @@ class ExperimentRunner:
                 self.cache_misses += 1
                 _METRICS.increment(f"runner.{method}.cache_misses")
                 if path is not None:
-                    stale_version = self._stale_cache_version(prefix, identity)
+                    stale_version = self._stale_cache_version(
+                        prefix, identity, method
+                    )
                     if stale_version is not None:
                         self.version_skips += 1
                         _METRICS.increment(f"runner.{method}.version_skips")
@@ -700,9 +691,9 @@ class ExperimentRunner:
                             stale_version,
                             _version.__version__,
                         )
-                result = compute()
+                result = self._compute(spec, self._seed_from_identity(identity))
                 if path is not None:
-                    store(path, result)
+                    self._store(path, result)
                     self._write_cache_index(prefix, identity, key)
             span.set(cache=cache_state)
             # The manifest write happens inside the span so the span tree
@@ -711,10 +702,13 @@ class ExperimentRunner:
                 # Resource accounting rides the run boundary: peak RSS and
                 # the workspace high-water mark, sampled once per point and
                 # stamped into the manifest's free-form extra payload.
-                stamped_extra = dict(extra or {})
-                stamped_extra["resources"] = sample_resource_gauges(
-                    self.workspace
-                )
+                extra = {
+                    name: value
+                    for name, value in payload.items()
+                    if name not in ("params", "trials", "rounds")
+                }
+                extra["draw_mode"] = self.draw_mode
+                extra["resources"] = sample_resource_gauges(self.workspace)
                 self.run_log.append(
                     manifest_record(
                         method=method,
@@ -722,67 +716,57 @@ class ExperimentRunner:
                         cache_key=key,
                         cache=cache_state,
                         duration_s=time.perf_counter() - start,
-                        params=_params_payload(params),
-                        trials=int(trials),
-                        rounds=int(rounds),
+                        params=payload["params"],
+                        trials=int(spec.trials),
+                        rounds=int(spec.rounds),
                         base_seed=self.base_seed,
-                        result_digest=result_digest(result),
+                        result_digest=_result_digest(result),
                         stale_version=stale_version,
-                        extra=stamped_extra,
+                        extra=extra,
                     )
                 )
             elif _METRICS.enabled:
                 sample_resource_gauges(self.workspace)
         return result
 
-    def _run_grid(
-        self,
-        method: str,
-        points: Sequence[ProtocolParameters],
-        run_one,
-        tasks: Optional[list] = None,
-        worker=None,
-    ) -> list:
-        """The shared spine of every ``run_*_grid`` method.
+    def run_many(self, specs: Iterable[Experiment]) -> list:
+        """Run every spec, in order, sharded across processes when configured.
 
-        ``run_one(point)`` is the serial path; ``tasks`` (one picklable
-        tuple per point) and ``worker`` (a top-level ``(index, flags,
-        *task) -> (index, _WorkerOutcome)`` function) enable the
-        process-pool path — grids whose inputs cannot be rebuilt from a
-        flat payload (topology, dynamics) simply omit them and always run
-        serially.  Both paths run under one ``runner.<method>`` span and
-        feed the configured progress sinks; the sharded path additionally
-        ships each worker's telemetry back and merges it (spans grafted
-        under the grid span shard-stamped, counters folded into the
-        ambient registry, manifests appended to the parent run log), so a
-        sharded grid reports like a sequential one.
+        The grid runs under one ``runner.<grid>`` span — ``run_grid``,
+        ``run_scenario_grid``, … when every spec has the same method, else
+        ``run_many`` — and feeds the configured progress sinks.  The sharded
+        path ships each worker's telemetry back and merges it (spans grafted
+        under the grid span shard-stamped, counters folded into the ambient
+        registry, manifests appended to the parent run log), so a sharded
+        grid reports like a sequential one.
         """
-        points = list(points)
-        if not points:
+        specs = list(specs)
+        if not specs:
             return []
+        methods = {spec.method for spec in specs}
+        grid = (
+            methods.pop().replace("_point", "_grid")
+            if len(methods) == 1
+            else "run_many"
+        )
         sharded = (
-            worker is not None
-            and self.processes is not None
-            and self.processes > 1
-            and len(points) > 1
+            self.processes is not None and self.processes > 1 and len(specs) > 1
         )
         sinks = self.progress_sinks
         progress = (
-            GridProgress(f"runner.{method}", len(points), sinks)
-            if sinks
-            else None
+            GridProgress(f"runner.{grid}", len(specs), sinks) if sinks else None
         )
         with _TRACE.span(
-            f"runner.{method}", points=len(points), sharded=sharded
+            f"runner.{grid}", points=len(specs), sharded=sharded
         ) as span:
             if not sharded:
                 if progress is None:
-                    return [run_one(point) for point in points]
+                    return [self.run(spec) for spec in specs]
                 results = []
-                for point in points:
+                for spec in specs:
                     hits, misses = self.cache_hits, self.cache_misses
                     started = time.perf_counter()
-                    results.append(run_one(point))
+                    results.append(self.run(spec))
                     progress.point_done(
                         time.perf_counter() - started,
                         cache_hits=self.cache_hits - hits,
@@ -796,12 +780,15 @@ class ExperimentRunner:
                 "metrics": _METRICS.enabled,
                 "manifests": self.run_log is not None,
             }
-            jobs = [(index, flags, *task) for index, task in enumerate(tasks)]
-            outcomes: List[Optional[_WorkerOutcome]] = [None] * len(jobs)
+            tasks = [
+                (index, flags, spec, self.base_seed, self.draw_mode, self.cache_dir)
+                for index, spec in enumerate(specs)
+            ]
+            outcomes: List[Optional[_WorkerOutcome]] = [None] * len(tasks)
             import multiprocessing
 
-            with multiprocessing.Pool(min(self.processes, len(jobs))) as pool:
-                for index, outcome in pool.imap_unordered(worker, jobs):
+            with multiprocessing.Pool(min(self.processes, len(tasks))) as pool:
+                for index, outcome in pool.imap_unordered(_run_task, tasks):
                     outcomes[index] = outcome
                     if progress is not None:
                         progress.point_done(
@@ -827,139 +814,14 @@ class ExperimentRunner:
                 results.append(outcome.result)
             return results
 
-    def _load_cached(self, path: str) -> Optional[BatchResult]:
-        if not os.path.exists(path):
-            return None
-        with np.load(path, allow_pickle=False) as archive:
-            meta = json.loads(str(archive["meta"]))
-            return BatchResult(
-                params=_params_from_payload(meta["params"]),
-                trials=int(meta["trials"]),
-                rounds=int(meta["rounds"]),
-                draw_mode=str(meta["draw_mode"]),
-                convergence_opportunities=archive["convergence_opportunities"],
-                honest_blocks=archive["honest_blocks"],
-                adversary_blocks=archive["adversary_blocks"],
-                worst_deficits=archive["worst_deficits"],
-                delay_model=str(meta.get("delay_model", "fixed_delta")),
-            )
-
-    def _store_cached(self, path: str, result: BatchResult) -> None:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        meta = json.dumps(
-            {
-                "engine_version": ENGINE_VERSION,
-                "package_version": _version.__version__,
-                "params": _params_payload(result.params),
-                "trials": result.trials,
-                "rounds": result.rounds,
-                "draw_mode": result.draw_mode,
-                "base_seed": self.base_seed,
-                "delay_model": result.delay_model,
-            },
-            sort_keys=True,
-        )
-        temporary = f"{path}.tmp.{os.getpid()}"
-        np.savez(
-            temporary,
-            meta=np.asarray(meta),
-            convergence_opportunities=result.convergence_opportunities,
-            honest_blocks=result.honest_blocks,
-            adversary_blocks=result.adversary_blocks,
-            worst_deficits=result.worst_deficits,
-        )
-        os.replace(f"{temporary}.npz", path)
-
-    #: Per-trial aggregate arrays persisted for a scenario result.
-    _SCENARIO_ARRAYS = (
-        "releases",
-        "abandons",
-        "deepest_forks",
-        "orphaned_honest",
-        "withheld_final",
-        "final_public_heights",
-        "honest_blocks",
-        "adversary_blocks",
-        "convergence_opportunities",
-        "worst_deficits",
-        "merge_depths",
-    )
-
-    def _load_cached_scenario(self, path: str) -> Optional[ScenarioResult]:
-        if not os.path.exists(path):
-            return None
-        with np.load(path, allow_pickle=False) as archive:
-            meta = json.loads(str(archive["meta"]))
-            scenario = _scenario_from_payload(meta["scenario"])
-            delay_model = meta.get("delay_model")
-            return ScenarioResult(
-                params=_params_from_payload(meta["params"]),
-                scenario=scenario,
-                trials=int(meta["trials"]),
-                rounds=int(meta["rounds"]),
-                draw_mode=str(meta["draw_mode"]),
-                honest_delay=int(meta["honest_delay"]),
-                delay_model=None if delay_model is None else str(delay_model),
-                release_delay=int(meta.get("release_delay", 0)),
-                **{name: archive[name] for name in self._SCENARIO_ARRAYS},
-            )
-
-    def _store_cached_scenario(self, path: str, result: ScenarioResult) -> None:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        meta = json.dumps(
-            {
-                "engine_version": ENGINE_VERSION,
-                "package_version": _version.__version__,
-                "params": _params_payload(result.params),
-                "scenario": result.scenario.payload(),
-                "trials": result.trials,
-                "rounds": result.rounds,
-                "draw_mode": result.draw_mode,
-                "honest_delay": result.honest_delay,
-                "base_seed": self.base_seed,
-                "delay_model": result.delay_model,
-                "release_delay": result.release_delay,
-            },
-            sort_keys=True,
-        )
-        temporary = f"{path}.tmp.{os.getpid()}"
-        np.savez(
-            temporary,
-            meta=np.asarray(meta),
-            **{name: getattr(result, name) for name in self._SCENARIO_ARRAYS},
-        )
-        os.replace(f"{temporary}.npz", path)
-
     # ------------------------------------------------------------------
-    # Execution
+    # Public wrappers: one spec per point
     # ------------------------------------------------------------------
     def run_point(
         self, params: ProtocolParameters, trials: int, rounds: int
     ) -> BatchResult:
         """Run (or fetch from cache) one parameter point."""
-        identity, key = self._point_identity_key(params, trials, rounds)
-
-        def compute() -> BatchResult:
-            rng = np.random.default_rng(self._seed_from_identity(identity))
-            simulation = BatchSimulation(
-                params, rng=rng, draw_mode=self.draw_mode, workspace=self.workspace
-            )
-            return simulation.run(trials, rounds)
-
-        return self._cached_run(
-            "run_point",
-            "batch",
-            identity,
-            key,
-            self._load_cached,
-            self._store_cached,
-            compute,
-            _batch_result_digest,
-            params,
-            trials,
-            rounds,
-            extra={"draw_mode": self.draw_mode},
-        )
+        return self.run(Experiment(params, trials, rounds))
 
     def run_grid(
         self,
@@ -968,28 +830,8 @@ class ExperimentRunner:
         rounds: int,
     ) -> List[BatchResult]:
         """Run every parameter point, sharded across processes when configured."""
-        points = list(points)
-        return self._run_grid(
-            "run_grid",
-            points,
-            lambda point: self.run_point(point, trials, rounds),
-            tasks=[
-                (
-                    _params_payload(point),
-                    trials,
-                    rounds,
-                    self.base_seed,
-                    self.draw_mode,
-                    self.cache_dir,
-                )
-                for point in points
-            ],
-            worker=_run_point_task,
-        )
+        return self.run_many(Experiment(point, trials, rounds) for point in points)
 
-    # ------------------------------------------------------------------
-    # Adversarial scenario execution
-    # ------------------------------------------------------------------
     def run_scenario_point(
         self,
         params: ProtocolParameters,
@@ -998,38 +840,8 @@ class ExperimentRunner:
         rounds: int,
     ) -> ScenarioResult:
         """Run (or fetch from cache) one (parameter point, scenario) pair."""
-        scenario = get_scenario(scenario)
-        identity, key = self._point_identity_key(
-            params, trials, rounds, scenario=scenario
-        )
-
-        def compute() -> ScenarioResult:
-            rng = np.random.default_rng(self._seed_from_identity(identity))
-            simulation = ScenarioSimulation(
-                params,
-                scenario,
-                rng=rng,
-                draw_mode=self.draw_mode,
-                workspace=self.workspace,
-            )
-            return simulation.run(trials, rounds)
-
-        return self._cached_run(
-            "run_scenario_point",
-            "scenario",
-            identity,
-            key,
-            self._load_cached_scenario,
-            self._store_cached_scenario,
-            compute,
-            _scenario_result_digest,
-            params,
-            trials,
-            rounds,
-            extra={
-                "draw_mode": self.draw_mode,
-                "scenario": scenario.payload(),
-            },
+        return self.run(
+            Experiment(params, trials, rounds, scenario=get_scenario(scenario))
         )
 
     def run_scenario_grid(
@@ -1041,29 +853,10 @@ class ExperimentRunner:
     ) -> List[ScenarioResult]:
         """Run one scenario at every parameter point, sharded when configured."""
         scenario = get_scenario(scenario)
-        points = list(points)
-        return self._run_grid(
-            "run_scenario_grid",
-            points,
-            lambda point: self.run_scenario_point(point, scenario, trials, rounds),
-            tasks=[
-                (
-                    _params_payload(point),
-                    scenario.payload(),
-                    trials,
-                    rounds,
-                    self.base_seed,
-                    self.draw_mode,
-                    self.cache_dir,
-                )
-                for point in points
-            ],
-            worker=_run_scenario_point_task,
+        return self.run_many(
+            Experiment(point, trials, rounds, scenario=scenario) for point in points
         )
 
-    # ------------------------------------------------------------------
-    # Topology-aware execution
-    # ------------------------------------------------------------------
     def run_topology_point(
         self,
         params: ProtocolParameters,
@@ -1079,46 +872,7 @@ class ExperimentRunner:
         when given, the mining-power profile digest — so two runs differing
         only in graph wiring or power skew never collide.
         """
-        model = resolve_delay_model(delay_model)
-        if model is None:
-            raise SimulationError(
-                "run_topology_point requires a delay model; use run_point for "
-                "the fixed-delta default"
-            )
-        identity, key = self._point_identity_key(
-            params, trials, rounds, delay_model=model, power=power
-        )
-
-        def compute() -> BatchResult:
-            rng = np.random.default_rng(self._seed_from_identity(identity))
-            simulation = BatchSimulation(
-                params,
-                rng=rng,
-                draw_mode=self.draw_mode,
-                delay_model=model,
-                power=power,
-                workspace=self.workspace,
-            )
-            return simulation.run(trials, rounds)
-
-        return self._cached_run(
-            "run_topology_point",
-            "topology",
-            identity,
-            key,
-            self._load_cached,
-            self._store_cached,
-            compute,
-            _batch_result_digest,
-            params,
-            trials,
-            rounds,
-            extra={
-                "draw_mode": self.draw_mode,
-                "delay_model": model.payload(),
-                "power": None if power is None else power.payload(),
-            },
-        )
+        return self.run(_topology_spec(params, trials, rounds, delay_model, power))
 
     def run_topology_grid(
         self,
@@ -1128,24 +882,12 @@ class ExperimentRunner:
         delay_model: Union[str, DelayModel],
         power: Optional[MiningPowerProfile] = None,
     ) -> List[BatchResult]:
-        """Run every parameter point under one delay model.
-
-        Topology grids run serially in-process: delay models (in particular
-        peer graphs with cached distance matrices) are not
-        pickle-reconstructible from a flat payload, and the batch engine
-        already vectorizes all trials within a point.
-        """
-        return self._run_grid(
-            "run_topology_grid",
-            points,
-            lambda point: self.run_topology_point(
-                point, trials, rounds, delay_model, power=power
-            ),
+        """Run every parameter point under one delay model."""
+        model = resolve_delay_model(delay_model)
+        return self.run_many(
+            _topology_spec(point, trials, rounds, model, power) for point in points
         )
 
-    # ------------------------------------------------------------------
-    # Network-dynamics execution
-    # ------------------------------------------------------------------
     def run_dynamics_point(
         self,
         params: ProtocolParameters,
@@ -1170,119 +912,8 @@ class ExperimentRunner:
         topology digest and the placement, so every distinct dynamics
         experiment gets its own seed stream and cache slot.
         """
-        if schedule is None:
-            if isinstance(scenario, str):
-                scenario = get_scenario(scenario)
-            if isinstance(scenario, PartitionScenario):
-                schedule = scenario.dynamics_schedule()
-            else:
-                schedule = DynamicsSchedule()
-        model = TimeVaryingDelayModel(schedule, topology=topology)
-        if scenario is None:
-            if placement is not None:
-                raise SimulationError(
-                    "adversary placement needs an adversarial scenario; the "
-                    "passive batch engine has no releases to delay"
-                )
-            identity, key = self._point_identity_key(
-                params, trials, rounds, delay_model=model, power=power
-            )
-
-            def compute_passive() -> BatchResult:
-                rng = np.random.default_rng(self._seed_from_identity(identity))
-                simulation = BatchSimulation(
-                    params,
-                    rng=rng,
-                    draw_mode=self.draw_mode,
-                    delay_model=model,
-                    power=power,
-                    workspace=self.workspace,
-                )
-                return simulation.run(trials, rounds)
-
-            return self._cached_run(
-                "run_dynamics_point",
-                "dynamics",
-                identity,
-                key,
-                self._load_cached,
-                self._store_cached,
-                compute_passive,
-                _batch_result_digest,
-                params,
-                trials,
-                rounds,
-                extra={
-                    "draw_mode": self.draw_mode,
-                    "delay_model": model.payload(),
-                    "power": None if power is None else power.payload(),
-                },
-            )
-        scenario = get_scenario(scenario)
-        cut_fraction = getattr(scenario, "cut_fraction", None)
-        if cut_fraction is not None:
-            # A partial cut is priced by the two-component scan, which owns
-            # its delivery semantics: no topology, and no schedule beyond
-            # the scenario's own cut.  The cache key still folds in the
-            # schedule (via the model) plus the scenario payload, whose
-            # cut_fraction separates it from the full-eclipse variant.
-            if topology is not None:
-                raise SimulationError(
-                    "partial-cut scenarios (cut_fraction set) split honest "
-                    "power probabilistically, not by graph position; "
-                    "topology must be None"
-                )
-            if schedule.payload() != scenario.dynamics_schedule().payload():
-                raise SimulationError(
-                    "a partial-cut scenario runs its own cut schedule; pass "
-                    "schedule=None or the scenario's dynamics_schedule()"
-                )
-        identity, key = self._point_identity_key(
-            params,
-            trials,
-            rounds,
-            scenario=scenario,
-            delay_model=model,
-            power=power,
-            placement=placement,
-        )
-
-        def compute_scenario() -> ScenarioResult:
-            rng = np.random.default_rng(self._seed_from_identity(identity))
-            simulation = ScenarioSimulation(
-                params,
-                scenario,
-                rng=rng,
-                draw_mode=self.draw_mode,
-                # The two-component scan replaces the delay model for partial
-                # cuts; ScenarioSimulation rejects the combination explicitly.
-                delay_model=None if cut_fraction is not None else model,
-                power=power,
-                placement=placement,
-                workspace=self.workspace,
-            )
-            return simulation.run(trials, rounds)
-
-        return self._cached_run(
-            "run_dynamics_point",
-            "dynamics_scenario",
-            identity,
-            key,
-            self._load_cached_scenario,
-            self._store_cached_scenario,
-            compute_scenario,
-            _scenario_result_digest,
-            params,
-            trials,
-            rounds,
-            extra={
-                "draw_mode": self.draw_mode,
-                "delay_model": model.payload(),
-                "scenario": scenario.payload(),
-                "power": None if power is None else power.payload(),
-                "placement": None if placement is None else placement.payload(),
-            },
-        )
+        fields_ = _dynamics_fields(schedule, topology, scenario, power, placement)
+        return self.run(Experiment(params, trials, rounds, **fields_))
 
     def run_dynamics_grid(
         self,
@@ -1297,120 +928,12 @@ class ExperimentRunner:
     ) -> List[Union[BatchResult, ScenarioResult]]:
         """Run every parameter point under one dynamics schedule.
 
-        Serial in-process, like the topology grids: compiled schedules and
-        peer graphs are not pickle-reconstructible from a flat payload, and
-        both engines already vectorize all trials within a point.
+        The points share one compiled schedule when run serially.
         """
-        return self._run_grid(
-            "run_dynamics_grid",
-            points,
-            lambda point: self.run_dynamics_point(
-                point,
-                trials,
-                rounds,
-                schedule,
-                topology=topology,
-                scenario=scenario,
-                power=power,
-                placement=placement,
-            ),
+        fields_ = _dynamics_fields(schedule, topology, scenario, power, placement)
+        return self.run_many(
+            Experiment(point, trials, rounds, **fields_) for point in points
         )
-
-    # ------------------------------------------------------------------
-    # Rare-event execution
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _rare_event_spec(
-        depth: int,
-        method: str,
-        tilt: Optional[ExponentialTilt],
-        pilot_trials: int,
-        elite_fraction: float,
-        max_iterations: int,
-        smoothing: float,
-    ) -> dict:
-        """The estimator-aware half of a rare-event cache key / seed payload.
-
-        Every knob that changes either the sampling measure or the amount of
-        entropy the estimator consumes is part of the spec, so two estimates
-        that could differ numerically can never share a cache slot or a
-        seed stream.  The pilot knobs are folded in even with an explicit
-        tilt (when they are inert) — a constant key for a given call
-        signature is worth more than a marginally smaller payload.
-        """
-        if method not in RARE_EVENT_METHODS:
-            raise SimulationError(
-                f"method must be one of {RARE_EVENT_METHODS}, got {method!r}"
-            )
-        return {
-            "depth": int(depth),
-            "method": method,
-            "tilt": None if tilt is None else tilt.payload(),
-            "pilot_trials": int(pilot_trials),
-            "elite_fraction": float(elite_fraction),
-            "max_iterations": int(max_iterations),
-            "smoothing": float(smoothing),
-        }
-
-    def _load_cached_rare(self, path: str) -> Optional[RareEventResult]:
-        if not os.path.exists(path):
-            return None
-        with np.load(path, allow_pickle=False) as archive:
-            meta = json.loads(str(archive["meta"]))
-            tilt_payload = meta.get("tilt")
-            levels = archive["level_probabilities"]
-            return RareEventResult(
-                params=_params_from_payload(meta["params"]),
-                depth=int(meta["depth"]),
-                method=str(meta["method"]),
-                trials=int(meta["trials"]),
-                rounds=int(meta["rounds"]),
-                probability=float(meta["probability"]),
-                ci_low=float(meta["ci_low"]),
-                ci_high=float(meta["ci_high"]),
-                relative_error=float(meta["relative_error"]),
-                effective_sample_size=float(meta["effective_sample_size"]),
-                hits=int(meta["hits"]),
-                tilt=(
-                    None
-                    if tilt_payload is None
-                    else ExponentialTilt(**tilt_payload)
-                ),
-                pilot_iterations=int(meta["pilot_iterations"]),
-                level_probabilities=None if levels.size == 0 else levels,
-            )
-
-    def _store_cached_rare(self, path: str, result: RareEventResult) -> None:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        meta = json.dumps(
-            {
-                "engine_version": ENGINE_VERSION,
-                "package_version": _version.__version__,
-                "params": _params_payload(result.params),
-                "depth": result.depth,
-                "method": result.method,
-                "trials": result.trials,
-                "rounds": result.rounds,
-                "probability": result.probability,
-                "ci_low": result.ci_low,
-                "ci_high": result.ci_high,
-                "relative_error": result.relative_error,
-                "effective_sample_size": result.effective_sample_size,
-                "hits": result.hits,
-                "tilt": None if result.tilt is None else result.tilt.payload(),
-                "pilot_iterations": result.pilot_iterations,
-                "base_seed": self.base_seed,
-            },
-            sort_keys=True,
-        )
-        levels = (
-            np.zeros(0)
-            if result.level_probabilities is None
-            else np.asarray(result.level_probabilities)
-        )
-        temporary = f"{path}.tmp.{os.getpid()}"
-        np.savez(temporary, meta=np.asarray(meta), level_probabilities=levels)
-        os.replace(f"{temporary}.npz", path)
 
     def run_rare_event_point(
         self,
@@ -1432,16 +955,9 @@ class ExperimentRunner:
         cross-entropy pilot stage.  The cache key and seed stream fold in
         the full estimator spec, so e.g. the same point estimated at two
         depths, or with and without a pinned tilt, never collide.  Only the
-        binomial draw mode is supported: the exponential-tilt likelihood
-        ratios are exact for the Binomial per-round law, not for the
-        auditing Bernoulli path or heterogeneous power profiles.
+        binomial draw mode is supported.
         """
-        if self.draw_mode != "binomial":
-            raise SimulationError(
-                "rare-event estimation supports only the binomial draw mode; "
-                f"this runner uses {self.draw_mode!r}"
-            )
-        spec = self._rare_event_spec(
+        rare = RareEvent(
             depth,
             method,
             tilt,
@@ -1450,43 +966,7 @@ class ExperimentRunner:
             max_iterations,
             smoothing,
         )
-        identity, key = self._point_identity_key(
-            params, trials, rounds, rare_event=spec
-        )
-
-        def compute() -> RareEventResult:
-            rng = np.random.default_rng(self._seed_from_identity(identity))
-            estimator = RareEventSimulation(
-                params, depth, rng=rng, workspace=self.workspace
-            )
-            if method == "plain":
-                return estimator.run_plain(trials, rounds)
-            if method == "splitting":
-                return estimator.run_splitting(trials, rounds)
-            return estimator.run_tilted(
-                trials,
-                rounds,
-                tilt=tilt,
-                pilot_trials=pilot_trials,
-                elite_fraction=elite_fraction,
-                max_iterations=max_iterations,
-                smoothing=smoothing,
-            )
-
-        return self._cached_run(
-            "run_rare_event_point",
-            "rare",
-            identity,
-            key,
-            self._load_cached_rare,
-            self._store_cached_rare,
-            compute,
-            _rare_result_digest,
-            params,
-            trials,
-            rounds,
-            extra={"draw_mode": self.draw_mode, "rare_event": spec},
-        )
+        return self.run(Experiment(params, trials, rounds, rare=rare))
 
     def run_rare_event_grid(
         self,
@@ -1503,13 +983,10 @@ class ExperimentRunner:
     ) -> List[RareEventResult]:
         """Run one rare-event estimate at every parameter point.
 
-        Sharded across processes when the runner is configured for it — the
-        full estimator spec is a flat picklable payload (an explicit tilt
-        travels as ``tilt.payload()``), so rare-event grids fan out exactly
-        like batch grids.  Per-point seeds make every estimate independent
-        of grid composition either way.
+        Per-point seeds make every estimate independent of grid composition,
+        serial or sharded.
         """
-        spec = self._rare_event_spec(
+        rare = RareEvent(
             depth,
             method,
             tilt,
@@ -1518,91 +995,9 @@ class ExperimentRunner:
             max_iterations,
             smoothing,
         )
-        points = list(points)
-        return self._run_grid(
-            "run_rare_event_grid",
-            points,
-            lambda point: self.run_rare_event_point(
-                point,
-                trials,
-                rounds,
-                depth,
-                method=method,
-                tilt=tilt,
-                pilot_trials=pilot_trials,
-                elite_fraction=elite_fraction,
-                max_iterations=max_iterations,
-                smoothing=smoothing,
-            ),
-            tasks=[
-                (
-                    _params_payload(point),
-                    spec,
-                    trials,
-                    rounds,
-                    self.base_seed,
-                    self.draw_mode,
-                    self.cache_dir,
-                )
-                for point in points
-            ],
-            worker=_run_rare_event_point_task,
+        return self.run_many(
+            Experiment(point, trials, rounds, rare=rare) for point in points
         )
-
-    # ------------------------------------------------------------------
-    # Streaming execution
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _streaming_spec(
-        depths: Iterable[int], scenario: Optional[Scenario]
-    ) -> dict:
-        """The statistics-affecting half of a streamed cache key / seed payload.
-
-        Only knobs that change the *result* belong here: the tracked
-        violation depths (each depth adds an exact hit tally).
-        ``chunk_cells`` is execution policy — streamed summaries are
-        bit-identical across chunk sizes — so it never enters the key, and
-        a sweep can retune its memory budget without invalidating caches.
-        """
-        depths = tuple(sorted({int(depth) for depth in depths}))
-        if scenario is not None and depths:
-            raise SimulationError(
-                "violation depths are a batch statistic; scenario streaming "
-                f"does not track them (got depths={depths!r})"
-            )
-        return {"depths": list(depths)}
-
-    def _load_cached_stream(self, path: str):
-        if not os.path.exists(path):
-            return None
-        with np.load(path, allow_pickle=False) as archive:
-            meta = json.loads(str(archive["meta"]))
-            params = _params_from_payload(meta["params"])
-            scenario_payload = meta.get("scenario")
-            if scenario_payload is not None:
-                return StreamingScenarioResult.from_payload(
-                    meta["state"],
-                    params,
-                    _scenario_from_payload(scenario_payload),
-                )
-            return StreamingBatchResult.from_payload(meta["state"], params)
-
-    def _store_cached_stream(self, path: str, result) -> None:
-        """Persist a streamed result: pure JSON state, no per-trial arrays."""
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        meta_payload = {
-            "engine_version": ENGINE_VERSION,
-            "package_version": _version.__version__,
-            "params": _params_payload(result.params),
-            "base_seed": self.base_seed,
-            "state": result.payload(),
-        }
-        if isinstance(result, StreamingScenarioResult):
-            meta_payload["scenario"] = result.scenario.payload()
-        meta = json.dumps(meta_payload, sort_keys=True)
-        temporary = f"{path}.tmp.{os.getpid()}"
-        np.savez(temporary, meta=np.asarray(meta))
-        os.replace(f"{temporary}.npz", path)
 
     def run_streaming_point(
         self,
@@ -1627,55 +1022,15 @@ class ExperimentRunner:
         absent from the cache key — summaries are bit-identical across
         chunk sizes.
         """
-        scenario = None if scenario is None else get_scenario(scenario)
-        spec = self._streaming_spec(depths, scenario)
-        identity, key = self._point_identity_key(
-            params, trials, rounds, scenario=scenario, streaming=spec
-        )
-        prefix = "stream" if scenario is None else "stream_scenario"
-
-        def compute():
-            seed = self._seed_from_identity(identity)
-            if scenario is None:
-                simulation = StreamingBatchSimulation(
-                    params,
-                    seed=seed,
-                    draw_mode=self.draw_mode,
-                    workspace=self.workspace,
-                    chunk_cells=chunk_cells,
-                )
-                return simulation.run(
-                    trials,
-                    rounds,
-                    depths=spec["depths"],
-                    progress=self.progress_sinks,
-                )
-            simulation = StreamingScenarioSimulation(
+        return self.run(
+            Experiment(
                 params,
-                scenario,
-                seed=seed,
-                draw_mode=self.draw_mode,
-                workspace=self.workspace,
+                trials,
+                rounds,
+                scenario=scenario,
+                depths=tuple(depths),
                 chunk_cells=chunk_cells,
             )
-            return simulation.run(trials, rounds, progress=self.progress_sinks)
-
-        extra = {"draw_mode": self.draw_mode, "streaming": spec}
-        if scenario is not None:
-            extra["scenario"] = scenario.payload()
-        return self._cached_run(
-            "run_streaming_point",
-            prefix,
-            identity,
-            key,
-            self._load_cached_stream,
-            self._store_cached_stream,
-            compute,
-            _stream_result_digest,
-            params,
-            trials,
-            rounds,
-            extra=extra,
         )
 
     def run_streaming_grid(
@@ -1693,33 +1048,15 @@ class ExperimentRunner:
         streamed summary bit-identical whether the grid runs serially or
         across a process pool, and whatever chunk size each side uses.
         """
-        scenario = None if scenario is None else get_scenario(scenario)
-        spec = self._streaming_spec(depths, scenario)
-        points = list(points)
-        return self._run_grid(
-            "run_streaming_grid",
-            points,
-            lambda point: self.run_streaming_point(
+        depths = tuple(depths)
+        return self.run_many(
+            Experiment(
                 point,
                 trials,
                 rounds,
-                depths=spec["depths"],
                 scenario=scenario,
+                depths=depths,
                 chunk_cells=chunk_cells,
-            ),
-            tasks=[
-                (
-                    _params_payload(point),
-                    None if scenario is None else scenario.payload(),
-                    spec["depths"],
-                    chunk_cells,
-                    trials,
-                    rounds,
-                    self.base_seed,
-                    self.draw_mode,
-                    self.cache_dir,
-                )
-                for point in points
-            ],
-            worker=_run_streaming_point_task,
+            )
+            for point in points
         )

@@ -241,8 +241,8 @@ def test_hot_path_instrumentation_is_handle_only_and_loop_free(module, qualname)
 #: per-item telemetry merging is delegated to
 #: :func:`repro.observability.distributed.merge_worker_telemetry`.
 INSTRUMENTED_ORCHESTRATION_PATHS = [
-    "ExperimentRunner._cached_run",
-    "ExperimentRunner._run_grid",
+    "ExperimentRunner.run",
+    "ExperimentRunner.run_many",
 ]
 
 

@@ -30,7 +30,7 @@ from repro.observability import (
 )
 from repro.observability.tracer import SpanRecord
 from repro.params import parameters_from_c
-from repro.simulation import ExperimentRunner
+from repro.simulation import Experiment, ExperimentRunner
 
 POINTS = [
     parameters_from_c(c=2.0, n=300, delta=delta, nu=0.25) for delta in (3, 4, 5)
@@ -301,7 +301,7 @@ class TestShardedGridParity:
         import os
 
         for point in POINTS:
-            identity, _ = runner._point_identity_key(point, 5, 120)
+            identity, _ = runner._keys(Experiment(point, 5, 120).payload())
             sidecar = runner._cache_index_path("batch", identity)
             os.makedirs(os.path.dirname(sidecar), exist_ok=True)
             with open(sidecar, "w", encoding="utf-8") as sink:

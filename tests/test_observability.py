@@ -32,7 +32,6 @@ from repro.observability import (
     install_from_env,
     load_trajectory,
     manifest_record,
-    migrate_legacy_entries,
     read_run_log,
     resolve_run_log,
     resolve_trajectory_path,
@@ -45,7 +44,12 @@ from repro.observability import (
 from repro.analysis import latest_by_benchmark, perf_trajectory_table
 from repro.backend import Workspace
 from repro.params import parameters_from_c
-from repro.simulation import BatchSimulation, ExperimentRunner, RareEventSimulation
+from repro.simulation import (
+    BatchSimulation,
+    Experiment,
+    ExperimentRunner,
+    RareEventSimulation,
+)
 
 PARAMS = parameters_from_c(c=2.0, n=400, delta=3, nu=0.25)
 
@@ -300,16 +304,6 @@ class TestTrajectory:
         assert resolve_trajectory_path(None, environ=env) == "/somewhere/else.json"
         assert resolve_trajectory_path(None, environ={}) == "BENCH_trajectory.json"
 
-    def test_migrate_legacy_entries_preserves_metrics_without_provenance(self):
-        legacy = [{"version": "1.6.0", "speedup": 9.6, "trials": 256}]
-        (record,) = migrate_legacy_entries("equivocation", legacy)
-        assert record["benchmark"] == "equivocation"
-        assert record["version"] == "1.6.0"
-        assert record["mode"] == "full"
-        assert record["timestamp"] is None
-        assert record["machine"] is None
-        assert record["metrics"] == {"speedup": 9.6, "trials": 256}
-
     def test_perf_report_renders_trajectory(self, tmp_path):
         path = tmp_path / "trajectory.json"
         from repro.observability import append_trajectory
@@ -407,11 +401,30 @@ class TestEngineMetrics:
 # Runner integration: manifests, counters, version skips
 # ----------------------------------------------------------------------
 class TestRunnerObservability:
-    def test_run_point_emits_miss_then_hit_manifests(self, tmp_path):
+    def test_run_point_emits_miss_then_hit_manifests(self, tmp_path, monkeypatch):
+        import repro.simulation.runner as runner_module
+
+        class Clock:
+            """Stands in for the runner's ``time``: moves only when told."""
+
+            now = 0.0
+
+            def perf_counter(self):
+                return self.now
+
+        clock = Clock()
+        monkeypatch.setattr(runner_module, "time", clock)
         log_path = tmp_path / "run_log.jsonl"
         runner = ExperimentRunner(
             base_seed=11, cache_dir=str(tmp_path / "cache"), run_log=log_path
         )
+        compute = runner._compute
+
+        def timed_compute(*args):
+            clock.now += 1.0
+            return compute(*args)
+
+        monkeypatch.setattr(runner, "_compute", timed_compute)
         with use_metrics() as metrics:
             first = runner.run_point(PARAMS, 6, 300)
             second = runner.run_point(PARAMS, 6, 300)
@@ -428,7 +441,9 @@ class TestRunnerObservability:
         assert records[0]["params"]["nu"] == PARAMS.nu
         assert records[0]["base_seed"] == 11
         assert records[0]["stale_version"] is None
-        assert records[0]["duration_s"] >= records[1]["duration_s"] >= 0.0
+        # Only the miss computes, so only the miss sees the clock move.
+        assert records[0]["duration_s"] == 1.0
+        assert records[0]["duration_s"] > records[1]["duration_s"] >= 0.0
 
     def test_uncached_runner_logs_disabled_state(self, tmp_path):
         log_path = tmp_path / "run_log.jsonl"
@@ -442,7 +457,7 @@ class TestRunnerObservability:
         runner = ExperimentRunner(
             base_seed=11, cache_dir=str(tmp_path / "cache"), run_log=log_path
         )
-        identity, _ = runner._point_identity_key(PARAMS, 6, 300)
+        identity, _ = runner._keys(Experiment(PARAMS, 6, 300).payload())
         sidecar = runner._cache_index_path("batch", identity)
         # Fake an earlier release's sidecar: same identity, obsolete version.
         import os

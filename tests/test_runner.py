@@ -2,17 +2,55 @@
 
 from __future__ import annotations
 
+import glob
 import os
 
 import numpy as np
 import pytest
 
 from repro.errors import SimulationError
+from repro.observability import use_metrics, use_tracer
 from repro.params import parameters_from_c
-from repro.simulation import ExperimentRunner
+from repro.simulation import (
+    AdversaryPlacement,
+    DynamicsSchedule,
+    Experiment,
+    ExperimentRunner,
+    PartitionEvent,
+    PeerGraphTopology,
+    RareEvent,
+    TimeVaryingDelayModel,
+)
 
 PARAMS = parameters_from_c(c=4.0, n=1_000, delta=3, nu=0.2)
 OTHER = parameters_from_c(c=2.0, n=1_000, delta=3, nu=0.3)
+
+
+def _rewrite(path, change):
+    with open(path, "rb") as source:
+        data = bytearray(source.read())
+    with open(path, "wb") as sink:
+        sink.write(bytes(change(data)))
+
+
+def _flip_bit(data):
+    data[len(data) // 2] ^= 0x01
+    return data
+
+
+def _sidecar_not_object(npz, sidecar):
+    os.remove(npz)
+    with open(sidecar, "w", encoding="utf-8") as sink:
+        sink.write("[1, 2]")
+
+
+#: Ways a cache entry gets damaged: ``(npz path, sidecar path) -> None``.
+DAMAGE = {
+    "truncated_npz": lambda npz, _: _rewrite(npz, lambda d: d[: len(d) // 2]),
+    "flipped_bit": lambda npz, _: _rewrite(npz, _flip_bit),
+    "foreign_schema_npz": lambda npz, _: np.savez(npz, other=np.arange(3)),
+    "sidecar_not_object": _sidecar_not_object,
+}
 
 
 class TestSeeding:
@@ -75,6 +113,30 @@ class TestCache:
         assert second.cache_hits == 1 and second.cache_misses == 0
         assert np.array_equal(cold.honest_blocks, warm.honest_blocks)
 
+    @pytest.mark.parametrize("damage", sorted(DAMAGE))
+    def test_damaged_entry_is_a_logged_miss_and_is_overwritten(
+        self, tmp_path, caplog, damage
+    ):
+        runner = ExperimentRunner(base_seed=3, cache_dir=str(tmp_path))
+        clean = runner.run_point(PARAMS, trials=4, rounds=300)
+        (npz,) = glob.glob(os.path.join(tmp_path, "*.npz"))
+        (sidecar,) = glob.glob(os.path.join(tmp_path, "*.latest.json"))
+        DAMAGE[damage](npz, sidecar)
+
+        with use_metrics() as metrics, caplog.at_level(
+            "WARNING", logger="repro.simulation.runner"
+        ):
+            again = runner.run_point(PARAMS, trials=4, rounds=300)
+        assert (runner.cache_hits, runner.cache_misses) == (0, 2)
+        assert metrics.counter("runner.run_point.cache_corrupt") == 1
+        damaged = sidecar if damage == "sidecar_not_object" else npz
+        assert any(os.path.basename(damaged) in line for line in caplog.messages)
+        assert np.array_equal(clean.worst_deficits, again.worst_deficits)
+        assert np.array_equal(clean.honest_blocks, again.honest_blocks)
+        # The recomputed entry replaced the damaged one: the next call hits.
+        runner.run_point(PARAMS, trials=4, rounds=300)
+        assert runner.cache_hits == 1
+
     def test_no_cache_dir_never_touches_disk(self):
         runner = ExperimentRunner(base_seed=0, cache_dir=None)
         runner.run_point(PARAMS, trials=2, rounds=200)
@@ -92,14 +154,35 @@ class TestGrid:
     def test_empty_grid(self):
         assert ExperimentRunner().run_grid([], trials=3, rounds=300) == []
 
-    def test_multiprocess_grid_matches_serial(self, tmp_path):
-        serial = ExperimentRunner(base_seed=4).run_grid(
-            [PARAMS, OTHER], trials=3, rounds=400
-        )
+    @pytest.mark.parametrize(
+        "method, extra, options",
+        [
+            ("run_grid", (), {}),
+            ("run_topology_grid", ("uniform",), {}),
+            (
+                "run_dynamics_grid",
+                (DynamicsSchedule([PartitionEvent(100, 80, nodes=(0, 1, 2))]),),
+                {"topology": PeerGraphTopology.ring(8)},
+            ),
+            (
+                "run_dynamics_grid",
+                (DynamicsSchedule([PartitionEvent(100, 80)]),),
+                {"scenario": "private_chain"},
+            ),
+        ],
+        ids=["batch", "topology", "dynamics", "dynamics_scenario"],
+    )
+    def test_multiprocess_grid_matches_serial(self, tmp_path, method, extra, options):
+        def grid(runner):
+            return getattr(runner, method)(
+                [PARAMS, OTHER], 3, 400, *extra, **options
+            )
+
+        serial = grid(ExperimentRunner(base_seed=4))
         sharded_runner = ExperimentRunner(
             base_seed=4, processes=2, cache_dir=str(tmp_path)
         )
-        sharded = sharded_runner.run_grid([PARAMS, OTHER], trials=3, rounds=400)
+        sharded = grid(sharded_runner)
         for left, right in zip(serial, sharded):
             assert np.array_equal(
                 left.convergence_opportunities, right.convergence_opportunities
@@ -108,8 +191,42 @@ class TestGrid:
             assert left.params == right.params
         # Worker-side cache accounting folds back into the parent runner.
         assert sharded_runner.cache_misses == 2 and sharded_runner.cache_hits == 0
-        sharded_runner.run_grid([PARAMS, OTHER], trials=3, rounds=400)
+        grid(sharded_runner)
         assert sharded_runner.cache_hits == 2
+
+    def test_run_many_runs_a_mixed_engine_list(self):
+        specs = [
+            Experiment(PARAMS, 3, 300),
+            Experiment(OTHER, 3, 300, scenario="private_chain"),
+            Experiment(PARAMS, 40, 300, depths=(2,)),
+            Experiment(OTHER, 64, 300, rare=RareEvent(3, method="plain")),
+        ]
+        with use_tracer() as tracer:
+            mixed = ExperimentRunner(base_seed=4, processes=2).run_many(specs)
+        (root,) = tracer.roots
+        assert root.name == "runner.run_many"
+        assert root.attributes["sharded"] is True
+        alone = ExperimentRunner(base_seed=4)
+        assert np.array_equal(
+            mixed[0].worst_deficits, alone.run_point(PARAMS, 3, 300).worst_deficits
+        )
+        assert np.array_equal(
+            mixed[1].deepest_forks,
+            alone.run_scenario_point(OTHER, "private_chain", 3, 300).deepest_forks,
+        )
+        streamed = alone.run_streaming_point(PARAMS, 40, 300, depths=(2,))
+        assert mixed[2].payload() == streamed.payload()
+        rare = alone.run_rare_event_point(OTHER, 64, 300, 3, method="plain")
+        assert (mixed[3].probability, mixed[3].hits) == (rare.probability, rare.hits)
+
+    def test_single_method_lists_keep_the_wrapper_grid_span(self):
+        with use_tracer() as tracer:
+            ExperimentRunner().run_many(
+                [Experiment(PARAMS, 2, 100), Experiment(OTHER, 2, 100)]
+            )
+        (root,) = tracer.roots
+        assert root.name == "runner.run_grid"
+        assert [child.name for child in root.children] == ["runner.run_point"] * 2
 
 
 class TestValidation:
@@ -118,3 +235,85 @@ class TestValidation:
             ExperimentRunner(draw_mode="quantum")
         with pytest.raises(SimulationError):
             ExperimentRunner(processes=0)
+
+
+class TestExperimentSpec:
+    def test_fields_pick_prefix_and_method(self):
+        schedule = DynamicsSchedule([PartitionEvent(10, 5)])
+        cases = [
+            (Experiment(PARAMS, 2, 50), "batch", "run_point"),
+            (
+                Experiment(PARAMS, 2, 50, scenario="private_chain"),
+                "scenario",
+                "run_scenario_point",
+            ),
+            (
+                Experiment(PARAMS, 2, 50, delay_model="uniform"),
+                "topology",
+                "run_topology_point",
+            ),
+            (
+                Experiment(
+                    PARAMS, 2, 50, delay_model=TimeVaryingDelayModel(schedule)
+                ),
+                "dynamics",
+                "run_dynamics_point",
+            ),
+            (
+                Experiment(
+                    PARAMS,
+                    2,
+                    50,
+                    scenario="private_chain",
+                    delay_model=TimeVaryingDelayModel(schedule),
+                ),
+                "dynamics_scenario",
+                "run_dynamics_point",
+            ),
+            (
+                Experiment(PARAMS, 2, 50, rare=RareEvent(3)),
+                "rare",
+                "run_rare_event_point",
+            ),
+            (Experiment(PARAMS, 2, 50, depths=()), "stream", "run_streaming_point"),
+            (
+                Experiment(PARAMS, 2, 50, scenario="selfish_mining", depths=()),
+                "stream_scenario",
+                "run_streaming_point",
+            ),
+        ]
+        for spec, prefix, method in cases:
+            assert (spec.prefix, spec.method) == (prefix, method)
+
+    def test_chunk_cells_stays_out_of_the_identity(self):
+        small = Experiment(PARAMS, 2, 50, depths=(3, 1, 3), chunk_cells=100)
+        large = Experiment(PARAMS, 2, 50, depths=(1, 3), chunk_cells=10_000)
+        assert small == large
+        assert small.payload() == large.payload()
+        assert small.payload()["streaming"] == {"depths": [1, 3]}
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"placement": AdversaryPlacement("leaf")}, "placement needs"),
+            ({"rare": RareEvent(3), "scenario": "private_chain"}, "rare-event"),
+            ({"depths": (), "delay_model": "uniform"}, "streamed"),
+            ({"depths": (2,), "scenario": "private_chain"}, "depths"),
+            (
+                {"scenario": "private_chain", "delay_model": "uniform"},
+                "TimeVaryingDelayModel",
+            ),
+        ],
+    )
+    def test_unrunnable_combinations_are_rejected(self, fields, message):
+        with pytest.raises(SimulationError, match=message):
+            Experiment(PARAMS, 2, 50, **fields)
+
+    def test_rare_event_spec_validates_its_method(self):
+        with pytest.raises(SimulationError, match="method"):
+            RareEvent(3, method="bogus")
+
+    def test_rare_draw_mode_is_checked_by_the_runner(self):
+        runner = ExperimentRunner(draw_mode="bernoulli")
+        with pytest.raises(SimulationError, match="binomial"):
+            runner.run(Experiment(PARAMS, 2, 50, rare=RareEvent(3)))
