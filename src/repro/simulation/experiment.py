@@ -33,10 +33,10 @@ from .rare_events import RARE_EVENT_METHODS, ExponentialTilt
 from .scenarios import Scenario, get_scenario
 from .topology import DelayModel, MiningPowerProfile, resolve_delay_model
 
-__all__ = ["Experiment", "RareEvent", "EXPERIMENT_METHODS", "params_payload"]
+__all__ = ["Experiment", "RareEvent", "params_payload"]
 
 #: Cache prefix -> the manifest ``method`` (the public point wrapper's name).
-EXPERIMENT_METHODS: Dict[str, str] = {
+_METHODS: Dict[str, str] = {
     "batch": "run_point",
     "scenario": "run_scenario_point",
     "topology": "run_topology_point",
@@ -195,7 +195,7 @@ class Experiment:
     @property
     def method(self) -> str:
         """The manifest ``method`` (and ``runner.<method>`` span) name."""
-        return EXPERIMENT_METHODS[self.prefix]
+        return _METHODS[self.prefix]
 
     def payload(self) -> dict:
         """The version-free description of the point (no runner fields).

@@ -912,8 +912,8 @@ class ExperimentRunner:
         topology digest and the placement, so every distinct dynamics
         experiment gets its own seed stream and cache slot.
         """
-        fields_ = _dynamics_fields(schedule, topology, scenario, power, placement)
-        return self.run(Experiment(params, trials, rounds, **fields_))
+        dynamics = _dynamics_fields(schedule, topology, scenario, power, placement)
+        return self.run(Experiment(params, trials, rounds, **dynamics))
 
     def run_dynamics_grid(
         self,
@@ -930,9 +930,9 @@ class ExperimentRunner:
 
         The points share one compiled schedule when run serially.
         """
-        fields_ = _dynamics_fields(schedule, topology, scenario, power, placement)
+        dynamics = _dynamics_fields(schedule, topology, scenario, power, placement)
         return self.run_many(
-            Experiment(point, trials, rounds, **fields_) for point in points
+            Experiment(point, trials, rounds, **dynamics) for point in points
         )
 
     def run_rare_event_point(
