@@ -1,15 +1,16 @@
-"""Benchmark: the backend layer's preallocated-workspace path and dispatch.
+"""Benchmark: the blocked analysis kernels and the backend dispatch layer.
 
 Two claims are measured:
 
-* **workspace reuse** — running the batch engine's deterministic analysis
-  half (`run_traces`: convergence-opportunity mask + worst-window deficit
-  scan) through one shared :class:`repro.backend.Workspace` must beat the
-  per-call-allocation reference path by >= 1.5x.  The workspace path is the
-  slice-view / ``out=`` kernel writing into reused buffers; the reference
-  path is the historical expression pipeline that allocates every
-  intermediate afresh on each call.  Both produce bit-identical results
-  (asserted here and pinned by ``tests/test_backend_equivalence.py``).
+* **blocked kernels** — the batch engine's deterministic analysis half
+  (``run_traces``: convergence-opportunity mask + worst-window deficit
+  scan), whose kernels walk cache-sized blocks of whole trials, must beat
+  an unblocked reference composition by >= 1.5x.  The reference, kept in
+  this file, is :func:`repro.core.concat_chain.convergence_opportunity_mask`
+  followed by the whole-run cumsum / ``maximum.accumulate`` drawdown, plus
+  the same per-trial block totals ``run_traces`` reports.  Both produce
+  identical per-trial tallies (asserted here and pinned by
+  ``tests/test_blocked_kernels.py``).
 * **accelerator availability** — every registered backend is probed; when
   an accelerator (CuPy / torch via ``array_api_compat``) is installed its
   engine throughput is recorded as an extra datapoint, and when it is not
@@ -31,6 +32,7 @@ from repro.backend import (
     get_backend,
     use_backend,
 )
+from repro.core.concat_chain import convergence_opportunity_mask
 from repro.params import parameters_from_c
 from repro.simulation import BatchSimulation, ScenarioSimulation, draw_mining_traces
 
@@ -39,8 +41,8 @@ ROUNDS = bench_scale(4_000, 8_000)
 REPEATS = bench_scale(10, 20)
 PARAMS = parameters_from_c(c=4.0, n=1_000, delta=3, nu=0.2)
 
-#: The issue's quick-mode gate for workspace reuse over per-call allocation.
-WORKSPACE_SPEEDUP_GATE = 1.5
+#: Gate for the blocked ``run_traces`` over the unblocked reference.
+BLOCKED_SPEEDUP_GATE = 1.5
 
 
 def _best_of(repeats, callable_):
@@ -52,44 +54,57 @@ def _best_of(repeats, callable_):
     return best
 
 
-def test_workspace_reuse_beats_per_call_allocation():
-    """The preallocated-workspace analysis path must be >= 1.5x faster.
+def _reference_analysis(honest, adversary, delta):
+    """Unblocked reference for ``run_traces``: per-trial tallies and deficits."""
+    mask = convergence_opportunity_mask(honest, delta)
+    difference = np.cumsum(mask.astype(np.int64) - adversary, axis=1)
+    padded = np.concatenate(
+        [np.zeros((difference.shape[0], 1), dtype=np.int64), difference], axis=1
+    )
+    deficits = (np.maximum.accumulate(padded, axis=1) - padded).max(axis=1)
+    return (
+        mask.sum(axis=1),
+        honest.sum(axis=1),
+        adversary.sum(axis=1),
+        deficits,
+    )
+
+
+def test_blocked_run_traces_beats_unblocked_reference():
+    """The blocked analysis path must be >= 1.5x faster than the reference.
 
     Both sides analyse the *same* pre-drawn (trials, rounds) tensors, so the
-    comparison isolates the deterministic hot kernels: the reference side
-    allocates each intermediate per call, the workspace side reuses warm
-    buffers through slice-view ``out=`` stores.
+    comparison isolates the deterministic kernels: the reference allocates
+    whole-run intermediates, the engine streams cache-sized row blocks.
     """
     honest, adversary = draw_mining_traces(PARAMS, TRIALS, ROUNDS, rng=0)
-    reference_engine = BatchSimulation(PARAMS, rng=0)
-    workspace = Workspace()
-    pooled_engine = BatchSimulation(PARAMS, rng=0, workspace=workspace)
+    engine = BatchSimulation(PARAMS, rng=0)
+    delta = PARAMS.delta
 
-    reference_result = reference_engine.run_traces(honest, adversary)
-    pooled_result = pooled_engine.run_traces(honest, adversary)
-    assert np.array_equal(
-        reference_result.convergence_opportunities,
-        pooled_result.convergence_opportunities,
+    result = engine.run_traces(honest, adversary)
+    opportunities, honest_blocks, adversary_blocks, deficits = (
+        _reference_analysis(honest, adversary, delta)
     )
-    assert np.array_equal(
-        reference_result.worst_deficits, pooled_result.worst_deficits
-    )
+    assert np.array_equal(result.convergence_opportunities, opportunities)
+    assert np.array_equal(result.honest_blocks, honest_blocks)
+    assert np.array_equal(result.adversary_blocks, adversary_blocks)
+    assert np.array_equal(result.worst_deficits, deficits)
 
     reference_seconds = _best_of(
-        REPEATS, lambda: reference_engine.run_traces(honest, adversary)
+        REPEATS, lambda: _reference_analysis(honest, adversary, delta)
     )
-    pooled_seconds = _best_of(
-        REPEATS, lambda: pooled_engine.run_traces(honest, adversary)
+    blocked_seconds = _best_of(
+        REPEATS, lambda: engine.run_traces(honest, adversary)
     )
-    speedup = reference_seconds / pooled_seconds
+    speedup = reference_seconds / blocked_seconds
     print(
-        f"\nWorkspace reuse at {TRIALS} trials x {ROUNDS} rounds: "
-        f"per-call allocation {reference_seconds * 1e3:.2f}ms, workspace "
-        f"{pooled_seconds * 1e3:.2f}ms, {speedup:.2f}x "
-        f"({workspace.nbytes / 1e6:.1f} MB pooled across {len(workspace.tags)} buffers)"
+        f"\nBlocked analysis at {TRIALS} trials x {ROUNDS} rounds: "
+        f"unblocked reference {reference_seconds * 1e3:.2f}ms, blocked "
+        f"run_traces {blocked_seconds * 1e3:.2f}ms, {speedup:.2f}x"
     )
-    assert speedup >= WORKSPACE_SPEEDUP_GATE, (
-        f"workspace path only {speedup:.2f}x faster than per-call allocation"
+    assert speedup >= BLOCKED_SPEEDUP_GATE, (
+        f"blocked run_traces only {speedup:.2f}x faster than the unblocked "
+        "reference"
     )
 
     record_trajectory(
@@ -99,10 +114,9 @@ def test_workspace_reuse_beats_per_call_allocation():
             "rounds": ROUNDS,
             "repeats": REPEATS,
             "reference_seconds": reference_seconds,
-            "workspace_seconds": pooled_seconds,
+            "blocked_seconds": blocked_seconds,
             "speedup": speedup,
-            "workspace_nbytes": workspace.nbytes,
-            "gate": WORKSPACE_SPEEDUP_GATE,
+            "gate": BLOCKED_SPEEDUP_GATE,
         },
     )
 
@@ -122,7 +136,7 @@ def test_backend_datapoints_with_graceful_skips():
             print(f"\nbackend {name}: skipped ({spec['error']})")
             continue
         with use_backend(name):
-            engine = BatchSimulation(PARAMS, rng=0, workspace=Workspace())
+            engine = BatchSimulation(PARAMS, rng=0)
             seconds = _best_of(3, lambda: engine.run(trials, rounds))
         cells = trials * rounds / seconds
         recorded[name] = cells

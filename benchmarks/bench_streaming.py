@@ -6,12 +6,12 @@ online accumulators, so peak footprint scales with ``chunk_cells`` — not
 with ``trials``.  Two gates pin that promise on the overlap-region anchor
 point (``c=4, n=1000, delta=3, nu=0.2``):
 
-* **memory** — a streamed point at ``TRIALS`` trials must peak (measured
-  by ``Workspace.high_water_bytes``) at <= 10% of what the dense engine
-  would need for the same point: the dense workspace high-water mark
-  measured at ``DENSE_TRIALS`` scaled linearly to ``TRIALS``, plus the two
-  ``(TRIALS, ROUNDS)`` int64 trace tensors the dense path materialises
-  outside the workspace.
+* **memory** — a streamed point at ``TRIALS`` trials must peak at <= 10%
+  of what the dense engine would need for the same point: the dense run's
+  peak measured at ``DENSE_TRIALS`` and scaled linearly to ``TRIALS``.
+  Both peaks are :mod:`tracemalloc` peaks, which see every NumPy buffer
+  (trace tensors, chunk buffers and kernel scratch alike), not just the
+  buffers a :class:`~repro.backend.Workspace` happens to hold.
 * **throughput** — streaming must not buy that memory with a slowdown:
   streamed cells/second must stay within 1.5x of the dense engine's rate
   (in practice chunked execution is cache-friendlier and *faster* at
@@ -25,9 +25,9 @@ are appended to the unified ``BENCH_trajectory.json`` via
 from __future__ import annotations
 
 import time
+import tracemalloc
 
 from conftest import bench_scale, record_trajectory
-from repro.backend import Workspace
 from repro.params import parameters_from_c
 from repro.simulation import BatchSimulation, StreamingBatchSimulation
 
@@ -52,35 +52,40 @@ MEMORY_GATE = 0.10
 THROUGHPUT_GATE = 1.5
 
 
-def _timed(callable_):
-    start = time.perf_counter()
-    result = callable_()
-    return result, time.perf_counter() - start
+def _traced(callable_):
+    """Run ``callable_``; return its result, wall seconds and traced peak bytes.
+
+    The peak is measured from a fresh :mod:`tracemalloc` baseline, so it
+    counts only what the call itself holds at its high point.
+    """
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        result = callable_()
+        seconds = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, seconds, peak
 
 
 def test_streamed_point_is_chunk_bounded_and_dense_competitive():
-    streamed_workspace = Workspace()
     simulation = StreamingBatchSimulation(
-        PARAMS,
-        seed=SEED,
-        workspace=streamed_workspace,
-        chunk_cells=CHUNK_CELLS,
+        PARAMS, seed=SEED, chunk_cells=CHUNK_CELLS
     )
-    streamed, streamed_s = _timed(lambda: simulation.run(TRIALS, ROUNDS))
-    streamed_peak = streamed_workspace.high_water_bytes
+    streamed, streamed_s, streamed_peak = _traced(
+        lambda: simulation.run(TRIALS, ROUNDS)
+    )
     streamed_rate = TRIALS * ROUNDS / streamed_s
 
-    dense_workspace = Workspace()
-    dense_engine = BatchSimulation(PARAMS, rng=SEED, workspace=dense_workspace)
-    dense, dense_s = _timed(lambda: dense_engine.run(DENSE_TRIALS, ROUNDS))
-    dense_rate = DENSE_TRIALS * ROUNDS / dense_s
-    # Projected dense peak at the streamed trial count: workspace scratch
-    # scales linearly with trials, plus the honest/adversary trace tensors
-    # the dense path materialises outside the workspace.
-    dense_projected = (
-        dense_workspace.high_water_bytes * (TRIALS / DENSE_TRIALS)
-        + 2 * TRIALS * ROUNDS * 8
+    dense_engine = BatchSimulation(PARAMS, rng=SEED)
+    dense, dense_s, dense_peak = _traced(
+        lambda: dense_engine.run(DENSE_TRIALS, ROUNDS)
     )
+    dense_rate = DENSE_TRIALS * ROUNDS / dense_s
+    # Projected dense peak at the streamed trial count: every dense tensor
+    # (traces, mask, per-trial results) scales linearly with trials.
+    dense_projected = dense_peak * (TRIALS / DENSE_TRIALS)
 
     memory_ratio = streamed_peak / dense_projected
     throughput_ratio = dense_rate / streamed_rate
@@ -128,6 +133,7 @@ def test_streamed_point_is_chunk_bounded_and_dense_competitive():
             "streamed_s": streamed_s,
             "streamed_cells_per_s": streamed_rate,
             "streamed_peak_bytes": streamed_peak,
+            "dense_peak_bytes": dense_peak,
             "dense_s": dense_s,
             "dense_cells_per_s": dense_rate,
             "dense_projected_peak_bytes": dense_projected,

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Walk the array-backend layer: dispatch, dtype policies, workspaces.
+"""Walk the array-backend layer: dispatch, dtype policies, blocked kernels.
 
 Run with::
 
@@ -7,8 +7,8 @@ Run with::
                                      [--backend NAME]
 
 Every tensor operation in the batch, scenario, topology and dynamics
-engines dispatches through ``repro.backend``.  This script shows the three
-user-facing knobs:
+engines dispatches through ``repro.backend``.  This script shows the two
+user-facing knobs and what the blocked analysis kernels buy:
 
 1. **backend selection** — enumerate the registry with
    :func:`repro.backend.backend_specs` (unavailable accelerators report a
@@ -23,10 +23,12 @@ user-facing knobs:
    default) versus ``compact`` (int32/uint8/float32): integer outputs stay
    exact, float statistics agree within the documented tolerance, memory
    traffic halves.
-3. **workspaces** — a :class:`repro.backend.Workspace` pools the hot
-   kernels' scratch buffers across repeated runs; the script times the
-   per-call-allocation path against the pooled path on the same pre-drawn
-   tensors (the ``bench_backend.py`` gate holds this at >= 1.5x).
+3. **blocked kernels** — the batch engine's mask and drawdown kernels walk
+   cache-sized blocks of whole trials; the script times ``run_traces``
+   against the unblocked reference composition (the reference fixed-Δ mask
+   plus a whole-run cumsum / running-maximum drawdown) on the same
+   pre-drawn tensors (the ``bench_backend.py`` gate holds this at
+   >= 1.5x).
 """
 
 from __future__ import annotations
@@ -39,11 +41,12 @@ import numpy as np
 
 from repro.backend import (
     COMPACT_STAT_RTOL,
-    Workspace,
     backend_specs,
+    get_backend,
     use_backend,
     use_dtype_policy,
 )
+from repro.core.concat_chain import convergence_opportunity_mask
 from repro.params import parameters_from_c
 from repro.simulation import BatchSimulation, draw_mining_traces
 
@@ -55,6 +58,17 @@ def best_of(repeats, callable_):
         callable_()
         best = min(best, time.perf_counter() - start)
     return best
+
+
+def unblocked_analysis(honest, adversary, delta):
+    """The unblocked reference: whole-run mask, then whole-run drawdown."""
+    mask = convergence_opportunity_mask(honest, delta)
+    difference = np.cumsum(mask.astype(np.int64) - adversary, axis=1)
+    padded = np.concatenate(
+        [np.zeros((difference.shape[0], 1), dtype=np.int64), difference], axis=1
+    )
+    deficits = (np.maximum.accumulate(padded, axis=1) - padded).max(axis=1)
+    return mask.sum(axis=1), deficits
 
 
 def main(argv=None) -> int:
@@ -98,18 +112,30 @@ def main(argv=None) -> int:
         f"{drift:.2e} (documented tolerance {COMPACT_STAT_RTOL:.0e} relative)"
     )
 
-    # 3. Workspace reuse on the deterministic analysis half.
+    # 3. Blocked kernels against the unblocked reference on the
+    #    deterministic analysis half.
     with use_backend(args.backend):
         honest, adversary = draw_mining_traces(
             params, args.trials, args.rounds, rng=0
         )
-        per_call = BatchSimulation(params, rng=0)
-        pooled = BatchSimulation(params, rng=0, workspace=Workspace())
-        cold = best_of(args.repeats, lambda: per_call.run_traces(honest, adversary))
-        warm = best_of(args.repeats, lambda: pooled.run_traces(honest, adversary))
+        engine = BatchSimulation(params, rng=0)
+        host = get_backend().to_host
+        host_honest, host_adversary = host(honest), host(adversary)
+        result = engine.run_traces(honest, adversary)
+        opportunities, deficits = unblocked_analysis(
+            host_honest, host_adversary, params.delta
+        )
+        assert np.array_equal(result.convergence_opportunities, opportunities)
+        assert np.array_equal(result.worst_deficits, deficits)
+        unblocked = best_of(
+            args.repeats,
+            lambda: unblocked_analysis(host_honest, host_adversary, params.delta),
+        )
+        blocked = best_of(args.repeats, lambda: engine.run_traces(honest, adversary))
     print(
-        f"workspace reuse at {args.trials}x{args.rounds}: per-call "
-        f"{cold * 1e3:.2f}ms, pooled {warm * 1e3:.2f}ms, {cold / warm:.2f}x"
+        f"blocked kernels at {args.trials}x{args.rounds}: unblocked reference "
+        f"{unblocked * 1e3:.2f}ms, blocked run_traces {blocked * 1e3:.2f}ms, "
+        f"{unblocked / blocked:.2f}x"
     )
     return 0
 

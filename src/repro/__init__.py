@@ -253,15 +253,17 @@ bit-exact default — or ``compact`` — int32/uint8/float32 with exact
 integers and float statistics inside a documented tolerance, selected via
 ``use_dtype_policy`` / ``REPRO_DTYPE_POLICY``), and a
 :class:`~repro.backend.Workspace` of preallocated scratch buffers that the
-hot kernels reuse across repeated (trials, rounds) runs —
-``ExperimentRunner`` threads one workspace through every grid point, and
-``benchmarks/bench_backend.py`` gates the pooled path at >= 1.5x over
-per-call allocation.  See ``examples/backend_speed.py``.
+scenario scan and the streaming chunk buffers reuse across repeated runs
+(``ExperimentRunner`` threads one workspace through every grid point).  The
+batch mask and drawdown kernels need no workspace: they walk blocks of whole
+trials through cache-sized scratch, and ``benchmarks/bench_backend.py``
+gates that blocked analysis at >= 1.5x over the unblocked reference.  See
+``examples/backend_speed.py``.
 
->>> from repro import Workspace, use_backend
+>>> from repro import use_backend
 >>> with use_backend("numpy"):
-...     pooled = BatchSimulation(small, rng=0, workspace=Workspace()).run(32, 2_000)
->>> bool((pooled.convergence_opportunities == batch.convergence_opportunities).all())
+...     again = BatchSimulation(small, rng=0).run(32, 2_000)
+>>> bool((again.convergence_opportunities == batch.convergence_opportunities).all())
 True
 
 Observability
@@ -309,7 +311,7 @@ The layer also reaches across process and run boundaries:
   manifest's ``extra["resources"]`` (:mod:`repro.observability.resources`);
 * **perf-regression sentinel** —
   :func:`repro.analysis.detect_regressions` (also ``python -m
-  repro.analysis.perf_report``) compares each benchmark's newest
+  repro.analysis.perf_sentinel``) compares each benchmark's newest
   trajectory record against the median of its prior same-mode history and
   fails CI on a beyond-tolerance slowdown.
 

@@ -28,7 +28,9 @@
   (``BENCH_trajectory.json``) rendered as diffable plain-text tables, plus
   :func:`~repro.analysis.perf_report.detect_regressions`, the CI perf
   sentinel that compares each benchmark's newest record to the median of
-  its prior same-mode history.
+  its prior same-mode history (run it as ``python -m
+  repro.analysis.perf_sentinel``; that CLI module is deliberately not
+  imported here).
 """
 
 from .attack_sweeps import ATTACK_SCENARIOS, attack_success_grid, attack_surface_sweep

@@ -15,9 +15,10 @@ the human-facing artefacts:
 * :func:`detect_regressions` — the **perf-regression sentinel**: each
   benchmark's newest record is compared against the median of its prior
   same-mode history, and a recorded slowdown beyond the tolerance comes
-  back as a ``regressed`` verdict.  ``python -m repro.analysis.perf_report``
-  runs the sentinel from the command line (exit code 1 on any regression),
-  which is how CI turns an unwatched perf history into a failing check.
+  back as a ``regressed`` verdict.  :func:`main` runs the sentinel from the
+  command line as ``python -m repro.analysis.perf_sentinel`` (exit code 1
+  on any regression), which is how CI turns an unwatched perf history into
+  a failing check.
 
 Rendering and checking are read-only: this module never writes the
 trajectory file.
@@ -233,7 +234,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     import argparse
 
     parser = argparse.ArgumentParser(
-        prog="python -m repro.analysis.perf_report",
+        prog="python -m repro.analysis.perf_sentinel",
         description=(
             "Check the committed perf trajectory for headline-metric "
             "regressions against each benchmark's own history."
@@ -276,9 +277,3 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"{verdict['mode']}: {verdict['detail']}"
         )
     return 1 if failed else 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via subprocess
-    import sys
-
-    sys.exit(main())

@@ -36,6 +36,7 @@ from ..errors import BackendError
 __all__ = [
     "CHUNK_ENV_VAR",
     "DEFAULT_CHUNK_CELLS",
+    "KERNEL_BLOCK_CELLS",
     "resolve_chunk_cells",
     "chunk_trials",
     "chunk_sizes",
@@ -48,6 +49,11 @@ CHUNK_ENV_VAR = "REPRO_CHUNK_CELLS"
 #: small enough to stay cache-friendly alongside the scan scratch and large
 #: enough that per-chunk Python overhead disappears into the array math.
 DEFAULT_CHUNK_CELLS = 16_000_000
+
+#: Cells per row block of the mask and drawdown kernels: 1 MB of int64
+#: scratch.  A block holds whole trials (at least one), and trials are
+#: independent, so the block size never changes a value.
+KERNEL_BLOCK_CELLS = 1 << 17
 
 
 def _validate(cells: object, source: str) -> int:

@@ -1,13 +1,14 @@
 """Preallocated scratch buffers for the engines' per-(trials, rounds) loops.
 
 A sweep revisits the same tensor shapes thousands of times: every grid point
-runs the same (trials, rounds) batch, and every ``run_traces`` call used to
-re-allocate the same dozen scratch tensors — cumulative-sum panels, window
-buffers, scan state vectors, delivery rings.  A :class:`Workspace` keeps one
-buffer per *tag* and hands it back on every request with a matching shape
-and dtype, so the steady state of a sweep performs no allocation at all in
-the hot kernels (the ``bench_backend.py`` gate holds the workspace path to
-≥ 1.5x over the per-call-allocation path).
+runs the same (trials, rounds) batch, and the scenario scan and the
+streaming engines would re-allocate the same scratch tensors on every call —
+scan state vectors, delivery rings, per-chunk trace buffers.  A
+:class:`Workspace` keeps one buffer per *tag* and hands it back on every
+request with a matching shape and dtype, so the steady state of a sweep
+performs no allocation in those loops.  (The batch mask and drawdown kernels
+do not use one: their scratch is a cache-sized row block, allocated per
+call.)
 
 Contracts:
 

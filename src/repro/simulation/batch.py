@@ -14,8 +14,8 @@ array operations:
   miner axis (identical in distribution, useful for auditing the binomial
   shortcut);
 * **convergence-opportunity detection** — the pattern ``N^Δ H_1 N^Δ`` of
-  Eq. (42) is located for every trial at once with cumulative-sum window
-  tests, matching the streaming
+  Eq. (42) is located for every trial at once with one cumulative-sum
+  window test (:func:`fixed_delta_opportunity_mask`), matching the streaming
   :class:`~repro.simulation.events.ConvergenceOpportunityDetector` and the
   offline :func:`~repro.core.concat_chain.count_convergence_opportunities`
   exactly;
@@ -29,15 +29,14 @@ Every tensor operation dispatches through the active
 reference backend reproduces the historical engine bit for bit, and
 ``use_backend`` / ``REPRO_BACKEND`` swap in an accelerator without touching
 this module.  Randomness is always drawn host-side through the caller's
-:class:`numpy.random.Generator` and bridged to the device, dtypes follow the
-active :class:`~repro.backend.DtypePolicy`, and a
-:class:`~repro.backend.Workspace` (optional, threaded in by
-:class:`~repro.simulation.runner.ExperimentRunner`) reuses the hot kernels'
-scratch tensors across repeated (trials, rounds) runs.  The workspace path
-runs an out-of-place-free variant of the window kernels — slice views plus
-``out=`` stores into preallocated buffers — that is value-identical to the
-reference expressions (pinned by the equivalence tests) and benchmarked at
-≥ 1.5x in ``benchmarks/bench_backend.py``.
+:class:`numpy.random.Generator` and bridged to the device, and dtypes follow
+the active :class:`~repro.backend.DtypePolicy`.  The mask and drawdown
+kernels have one implementation each, and each walks blocks of whole trials
+(:data:`~repro.backend.chunking.KERNEL_BLOCK_CELLS` cells) through about
+1 MB of scratch, so every pass over a block stays in cache and the only
+whole-run intermediate is the boolean mask.  Trials are independent, so the
+blocked kernels equal the unblocked reference expressions bit for bit
+(pinned by the equivalence and block-boundary tests).
 
 The engine deliberately works at the level of per-round aggregate counts —
 the same abstraction the paper's analysis lives at.  Full block-tree dynamics
@@ -58,11 +57,11 @@ import numpy as np
 
 from ..backend import (
     ArrayBackend,
-    Workspace,
     get_backend,
     get_dtype_policy,
     resolve_chunk_cells,
 )
+from ..backend.chunking import KERNEL_BLOCK_CELLS, chunk_trials
 from ..core.concat_chain import convergence_opportunity_mask
 from ..errors import SimulationError
 from ..observability import METRICS as _METRICS, TRACE as _TRACE
@@ -80,6 +79,7 @@ __all__ = [
     "draw_mining_traces",
     "convergence_opportunity_mask",
     "count_convergence_opportunities_batch",
+    "fixed_delta_opportunity_mask",
     "worst_window_deficits",
     "proportion_confidence_interval",
     "BatchResult",
@@ -203,56 +203,65 @@ def count_convergence_opportunities_batch(honest_counts, delta: int):
     """Per-trial convergence-opportunity counts for a ``(trials, rounds)`` tensor."""
     xp = get_backend()
     index_dtype = get_dtype_policy().index_dtype(xp)
-    mask = convergence_opportunity_mask(xp.to_host(honest_counts), delta)
-    return xp.from_host(mask).sum(axis=1, dtype=index_dtype)
+    mask = fixed_delta_opportunity_mask(honest_counts, delta, backend=xp)
+    return mask.sum(axis=1, dtype=index_dtype)
 
 
-def _opportunity_mask_ws(
-    workspace: Workspace, xp: ArrayBackend, counts, delta: int, mask_dtype, index_dtype
+def fixed_delta_opportunity_mask(
+    honest_counts, delta: int, backend: Optional[ArrayBackend] = None, policy=None
 ):
-    """Workspace variant of :func:`convergence_opportunity_mask`.
+    """Row-blocked ``(trials, rounds)`` mask of completed opportunities.
 
-    Value-identical to the reference (the window centres ``delta ..
-    rounds-delta-1`` are contiguous, so the reference's fancy-indexed
-    gathers become slice views), with every intermediate stored into a
-    preallocated buffer.  The returned mask lives in the workspace — callers
-    reduce or copy it before the next kernel invocation reuses the tag.
+    The engines' fixed-Δ kernel, value-identical to
+    :func:`~repro.core.concat_chain.convergence_opportunity_mask` for
+    success counts (which are never negative).  With non-negative counts
+    the pattern ``N^Δ H_1 N^Δ`` completes at round ``r`` exactly when
+    ``counts[r-Δ] == 1`` and the ``2Δ+1``-round window sum ending at ``r``
+    is 1 — one cumsum and one window difference.  The kernel walks blocks
+    of whole trials (:data:`~repro.backend.chunking.KERNEL_BLOCK_CELLS`
+    cells), so its scratch stays cache-sized; only the returned mask spans
+    the whole run.
     """
+    if delta < 1:
+        raise SimulationError(f"delta must be >= 1, got {delta!r}")
+    xp = get_backend(backend)
+    policy = get_dtype_policy(policy)
+    index_dtype = policy.index_dtype(xp)
+    counts = xp.asarray(honest_counts, dtype=index_dtype)
+    if counts.ndim != 2:
+        raise SimulationError(
+            f"honest_counts must have shape (trials, rounds), got {counts.shape}"
+        )
     trials, rounds = counts.shape
-    mask = workspace.zeros("mask.out", (trials, rounds), mask_dtype)
-    if rounds < 2 * delta + 1:
-        return mask
+    mask = xp.zeros((trials, rounds), dtype=policy.mask_dtype(xp))
     width = rounds - 2 * delta
-    flags = workspace.empty("mask.flags", (trials, rounds), mask_dtype)
-    xp.equal(counts, 0, out=flags)
-    cumulative = workspace.empty("mask.cumulative", (trials, rounds + 1), index_dtype)
+    if width < 1 or trials == 0:
+        return mask
+    rows = min(chunk_trials(rounds, KERNEL_BLOCK_CELLS), trials)
+    cumulative = xp.empty((rows, rounds + 1), dtype=index_dtype)
     cumulative[:, 0] = 0
-    xp.cumsum(flags, axis=1, dtype=index_dtype, out=cumulative[:, 1:])
-    hits = mask[:, 2 * delta :]
-    window = workspace.empty("mask.window", (trials, width), index_dtype)
-    # Empty-window sum over the delta rounds before each centre ...
-    xp.subtract(
-        cumulative[:, delta : rounds - delta], cumulative[:, :width], out=window
-    )
-    xp.equal(window, delta, out=hits)
-    # ... and over the delta rounds after it.
-    xp.subtract(
-        cumulative[:, 2 * delta + 1 :],
-        cumulative[:, delta + 1 : rounds - delta + 1],
-        out=window,
-    )
-    side = flags[:, :width]
-    xp.equal(window, delta, out=side)
-    xp.logical_and(hits, side, out=hits)
-    xp.equal(counts[:, delta : rounds - delta], 1, out=side)
-    xp.logical_and(hits, side, out=hits)
+    window = xp.empty((rows, width), dtype=index_dtype)
+    single = xp.empty((rows, width), dtype=xp.bool_)
+    for start in range(0, trials, rows):
+        stop = min(start + rows, trials)
+        height = stop - start
+        block = counts[start:stop]
+        sums = cumulative[:height]
+        xp.cumsum(block, axis=1, dtype=index_dtype, out=sums[:, 1:])
+        # Window sum of the 2Δ+1 rounds ending at r, for r = 2Δ .. rounds-1.
+        # Exact even if a narrow index dtype wraps the running sums: the
+        # difference is taken modulo the same width and the window is small.
+        xp.subtract(sums[:, 2 * delta + 1 :], sums[:, :width], out=window[:height])
+        hits = mask[start:stop, 2 * delta :]
+        xp.equal(window[:height], 1, out=hits)
+        xp.equal(block[:, delta : rounds - delta], 1, out=single[:height])
+        xp.logical_and(hits, single[:height], out=hits)
     return mask
 
 
 def worst_window_deficits(
     opportunity_mask,
     adversary_counts,
-    workspace: Optional[Workspace] = None,
     backend: Optional[ArrayBackend] = None,
     policy=None,
 ):
@@ -265,9 +274,9 @@ def worst_window_deficits(
     which adversarial blocks outnumbered convergence opportunities by ``d`` —
     the analytical analogue of a depth-``d`` consistency threat.
 
-    With a ``workspace`` the drawdown scan writes into preallocated buffers
-    (same values, no per-call allocation); without one it takes the
-    reference per-call-allocation path.
+    The scan (subtract, cumsum, running maximum, maximum) walks blocks of
+    whole trials (:data:`~repro.backend.chunking.KERNEL_BLOCK_CELLS` cells)
+    through cache-sized scratch.
     """
     xp = get_backend(backend)
     index_dtype = get_dtype_policy(policy).index_dtype(xp)
@@ -277,31 +286,31 @@ def worst_window_deficits(
         raise SimulationError(
             f"mask shape {mask.shape} does not match adversary shape {adversary.shape}"
         )
-    if workspace is not None:
-        return _worst_window_deficits_ws(workspace, xp, mask, adversary, index_dtype)
-    difference = xp.cumsum(xp.asarray(mask, dtype=index_dtype) - adversary, axis=1)
-    # Prepend the empty-window baseline 0 so windows starting at round 1 count.
-    baseline = xp.zeros((difference.shape[0], 1), dtype=index_dtype)
-    padded = xp.concatenate([baseline, difference], axis=1)
-    running_max = xp.maximum_accumulate(padded, axis=1)
-    return (running_max - padded).max(axis=1)
-
-
-def _worst_window_deficits_ws(
-    workspace: Workspace, xp: ArrayBackend, mask, adversary, index_dtype
-):
-    """Workspace variant of the drawdown scan (value-identical, no allocation
-    beyond the returned per-trial reduction)."""
+    if mask.ndim != 2:
+        raise SimulationError(
+            f"mask must have shape (trials, rounds), got {mask.shape}"
+        )
     trials, rounds = mask.shape
-    padded = workspace.empty("deficit.padded", (trials, rounds + 1), index_dtype)
-    padded[:, 0] = 0
-    difference = workspace.empty("deficit.difference", (trials, rounds), index_dtype)
-    xp.subtract(mask, adversary, out=difference)
-    xp.cumsum(difference, axis=1, dtype=index_dtype, out=padded[:, 1:])
-    running = workspace.empty("deficit.running", (trials, rounds + 1), index_dtype)
-    xp.maximum_accumulate(padded, axis=1, out=running)
-    xp.subtract(running, padded, out=running)
-    return running.max(axis=1)
+    deficits = xp.empty((trials,), dtype=index_dtype)
+    if trials == 0:
+        return deficits
+    rows = min(chunk_trials(rounds + 1, KERNEL_BLOCK_CELLS), trials)
+    # Column 0 is the empty-window baseline, so windows starting at round 1
+    # count.
+    level = xp.empty((rows, rounds + 1), dtype=index_dtype)
+    level[:, 0] = 0
+    drawdown = xp.empty((rows, rounds + 1), dtype=index_dtype)
+    for start in range(0, trials, rows):
+        stop = min(start + rows, trials)
+        height = stop - start
+        running = level[:height]
+        xp.subtract(mask[start:stop], adversary[start:stop], out=running[:, 1:])
+        xp.cumsum(running[:, 1:], axis=1, dtype=index_dtype, out=running[:, 1:])
+        peak = drawdown[:height]
+        xp.maximum_accumulate(running, axis=1, out=peak)
+        xp.subtract(peak, running, out=peak)
+        deficits[start:stop] = peak.max(axis=1)
+    return deficits
 
 
 def _confidence_interval(values: np.ndarray) -> Tuple[float, float]:
@@ -511,11 +520,6 @@ class BatchSimulation:
         Optional heterogeneous
         :class:`~repro.simulation.topology.MiningPowerProfile`; validated
         against ``params`` before any draw.
-    workspace:
-        Optional :class:`~repro.backend.Workspace` of preallocated scratch
-        buffers; pass one workspace across repeated runs (as
-        :class:`~repro.simulation.runner.ExperimentRunner` does) and the
-        window kernels stop allocating.  Results never alias the workspace.
 
     The engine binds the ambient backend and dtype policy at construction
     (``use_backend`` / ``use_dtype_policy`` contexts, or the
@@ -540,7 +544,6 @@ class BatchSimulation:
         draw_mode: str = "binomial",
         delay_model: Union[None, str, DelayModel] = None,
         power: Optional[MiningPowerProfile] = None,
-        workspace: Optional[Workspace] = None,
     ):
         if draw_mode not in DRAW_MODES:
             raise SimulationError(
@@ -555,9 +558,6 @@ class BatchSimulation:
             self.power.validate_against(params)
         self.backend = get_backend()
         self.policy = get_dtype_policy()
-        self.workspace = workspace
-        if workspace is not None:
-            workspace.bind(self.backend)
 
     @property
     def _delay_model_name(self) -> str:
@@ -646,21 +646,9 @@ class BatchSimulation:
         _METRICS.increment("engine.batch.rounds", trials * rounds)
         with _TRACE.span("batch.mask", trials=trials, rounds=rounds):
             if delays is None:
-                if self.workspace is not None:
-                    mask = _opportunity_mask_ws(
-                        self.workspace,
-                        xp,
-                        honest,
-                        self.params.delta,
-                        self.policy.mask_dtype(xp),
-                        index_dtype,
-                    )
-                else:
-                    mask = xp.from_host(
-                        convergence_opportunity_mask(
-                            xp.to_host(honest), self.params.delta
-                        )
-                    )
+                mask = fixed_delta_opportunity_mask(
+                    honest, self.params.delta, backend=xp, policy=self.policy
+                )
             else:
                 mask = convergence_opportunity_mask_with_delays(
                     honest,
@@ -672,11 +660,7 @@ class BatchSimulation:
                 )
         with _TRACE.span("batch.deficits", trials=trials, rounds=rounds):
             deficits = worst_window_deficits(
-                mask,
-                adversary,
-                workspace=self.workspace,
-                backend=xp,
-                policy=self.policy,
+                mask, adversary, backend=xp, policy=self.policy
             )
         return BatchResult(
             params=self.params,

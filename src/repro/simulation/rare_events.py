@@ -46,10 +46,9 @@ variance-reduction techniques layered on the batch engine:
   estimates the tail.
 
 All tensor math goes through the active :class:`~repro.backend.ArrayBackend`
-(host-seeded RNG, dtype-policy aware, optional workspace), so estimates are
-backend-independent; trials are processed in bounded-memory chunks, so deep
-tails can be hunted with large budgets without materialising a huge
-``(trials, rounds)`` tensor.  A zero tilt is *bit-identical* to plain MC at
+(host-seeded RNG, dtype-policy aware), so estimates are backend-independent;
+trials are processed in bounded-memory chunks, so deep tails can be hunted
+with large budgets without materialising a huge ``(trials, rounds)`` tensor.  A zero tilt is *bit-identical* to plain MC at
 the same seed (the draw protocol is unchanged and every likelihood ratio is
 exactly 1), which is how the equivalence tests pin the estimator.  Plain-MC
 probability estimates carry Wilson score intervals
@@ -67,19 +66,18 @@ import numpy as np
 
 from ..backend import (
     ArrayBackend,
-    Workspace,
     chunk_sizes,
     get_backend,
     get_dtype_policy,
     resolve_chunk_cells,
 )
-from ..core.concat_chain import convergence_opportunity_mask
 from ..errors import SimulationError
 from ..observability import METRICS as _METRICS, TRACE as _TRACE
 from ..params import ProtocolParameters
 from .batch import (
     BatchSimulation,
     draw_mining_traces,
+    fixed_delta_opportunity_mask,
     proportion_confidence_interval,
 )
 from .rng import SeedLike, resolve_rng
@@ -268,7 +266,6 @@ def cross_entropy_tilt(
     elite_fraction: float = 0.1,
     max_iterations: int = 10,
     smoothing: float = 0.7,
-    workspace: Optional[Workspace] = None,
 ) -> Tuple[ExponentialTilt, int]:
     """Auto-tune a tilt with the cross-entropy method; returns (tilt, iterations).
 
@@ -311,7 +308,7 @@ def cross_entropy_tilt(
         raise SimulationError(
             "rare-event tilting needs a non-empty adversary (nu n >= 1)"
         )
-    engine = BatchSimulation(params, rng=generator, workspace=workspace)
+    engine = BatchSimulation(params, rng=generator)
     elite_count = max(int(math.ceil(elite_fraction * pilot_trials)), 1)
     tilt = ExponentialTilt.identity(params)
     iterations = 0
@@ -480,9 +477,6 @@ class RareEventSimulation:
     rng:
         Source of randomness; one generator drives the pilot stages and the
         main run in order, so a seed fully determines the estimate.
-    workspace:
-        Optional :class:`~repro.backend.Workspace` shared with the batch
-        engine's window kernels.
     chunk_cells:
         Optional per-chunk cell budget override; ``None`` defers to the
         shared :func:`repro.backend.resolve_chunk_cells` configuration
@@ -507,7 +501,6 @@ class RareEventSimulation:
         params: ProtocolParameters,
         depth: int,
         rng: SeedLike = None,
-        workspace: Optional[Workspace] = None,
         chunk_cells: Optional[int] = None,
     ):
         if depth < 1:
@@ -523,7 +516,7 @@ class RareEventSimulation:
         self.depth = int(depth)
         self.chunk_cells = chunk_cells
         self.rng = resolve_rng(rng)
-        self.engine = BatchSimulation(params, rng=self.rng, workspace=workspace)
+        self.engine = BatchSimulation(params, rng=self.rng)
 
     # ------------------------------------------------------------------
     # Shared plumbing
@@ -639,7 +632,6 @@ class RareEventSimulation:
                     elite_fraction=elite_fraction,
                     max_iterations=max_iterations,
                     smoothing=smoothing,
-                    workspace=self.engine.workspace,
                 )
             _METRICS.increment(
                 "rare_events.pilot_iterations", pilot_iterations
@@ -840,7 +832,10 @@ class RareEventSimulation:
         for the splitting stages.  Host-side analysis (the crossing scan is
         a control-flow step, not a hot kernel).
         """
-        mask = convergence_opportunity_mask(honest, self.params.delta)
+        xp = self.engine.backend
+        mask = xp.to_host(
+            fixed_delta_opportunity_mask(honest, self.params.delta, backend=xp)
+        )
         difference = np.cumsum(mask.astype(np.int64) - adversary, axis=1)
         padded = np.concatenate(
             [np.zeros((difference.shape[0], 1), dtype=np.int64), difference],

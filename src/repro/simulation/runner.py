@@ -360,8 +360,10 @@ class ExperimentRunner:
         # package release (counted by run() via the sidecar index).
         self.version_skips = 0
         # One scratch workspace shared across every point this runner
-        # executes in-process: repeated (trials, rounds) grid points reuse
-        # the engines' hot-kernel buffers instead of re-allocating them.
+        # executes in-process: repeated grid points reuse the scenario
+        # scan's state vectors and the streaming engines' chunk buffers
+        # instead of re-allocating them.  The batch mask and drawdown
+        # kernels need none (their scratch is cache-sized per row block).
         # (Process-pool workers each build their own runner and workspace;
         # results never alias workspace memory, so sharing is safe.)
         self.workspace = Workspace()
@@ -599,9 +601,7 @@ class ExperimentRunner:
         rng = np.random.default_rng(seed)
         rare = spec.rare
         if rare is not None:
-            estimator = RareEventSimulation(
-                params, rare.depth, rng=rng, workspace=self.workspace
-            )
+            estimator = RareEventSimulation(params, rare.depth, rng=rng)
             if rare.method == "plain":
                 return estimator.run_plain(trials, rounds)
             if rare.method == "splitting":
@@ -622,7 +622,6 @@ class ExperimentRunner:
                 draw_mode=self.draw_mode,
                 delay_model=spec.delay_model,
                 power=spec.power,
-                workspace=self.workspace,
             ).run(trials, rounds)
         partial = getattr(spec.scenario, "cut_fraction", None) is not None
         return ScenarioSimulation(

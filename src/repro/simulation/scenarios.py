@@ -83,7 +83,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..backend import Workspace, get_backend, get_dtype_policy
-from ..core.concat_chain import convergence_opportunity_mask
 from ..errors import SimulationError
 from ..observability import METRICS as _METRICS, TRACE as _TRACE
 from ..params import ProtocolParameters
@@ -98,8 +97,8 @@ from .adversary import (
 from .batch import (
     DRAW_MODES,
     _confidence_interval,
-    _opportunity_mask_ws,
     draw_mining_traces,
+    fixed_delta_opportunity_mask,
     proportion_confidence_interval,
     worst_window_deficits,
 )
@@ -876,12 +875,11 @@ class ScenarioSimulation:
         against ``params`` before any draw.
     workspace:
         Optional :class:`~repro.backend.Workspace` of preallocated scratch
-        buffers for the scan state and window kernels; pass one workspace
-        across repeated runs (as the runner does) and the hot loops stop
-        allocating.  Results never alias the workspace.  Like the batch
-        engine, the ambient backend and dtype policy are bound at
-        construction and results are converted to host NumPy at the
-        boundary.
+        buffers for the scan state; pass one workspace across repeated
+        runs (as the runner does) and the scan loops stop allocating.
+        Results never alias the workspace.  Like the batch engine, the
+        ambient backend and dtype policy are bound at construction and
+        results are converted to host NumPy at the boundary.
     placement:
         Optional :class:`~repro.simulation.dynamics.AdversaryPlacement`
         (any object with a ``release_delay(topology, delta)`` method and a
@@ -1208,21 +1206,9 @@ class ScenarioSimulation:
                 )
         with _TRACE.span("scenario.mask", trials=trials, rounds=rounds):
             if delays is None:
-                if self.workspace is not None:
-                    mask = _opportunity_mask_ws(
-                        self.workspace,
-                        xp,
-                        honest,
-                        self.params.delta,
-                        self.policy.mask_dtype(xp),
-                        index_dtype,
-                    )
-                else:
-                    mask = xp.from_host(
-                        convergence_opportunity_mask(
-                            xp.to_host(honest), self.params.delta
-                        )
-                    )
+                mask = fixed_delta_opportunity_mask(
+                    honest, self.params.delta, backend=xp, policy=self.policy
+                )
             else:
                 mask = convergence_opportunity_mask_with_delays(
                     honest,
@@ -1239,11 +1225,7 @@ class ScenarioSimulation:
                 mask[:, start:end] = 0
         with _TRACE.span("scenario.deficits", trials=trials, rounds=rounds):
             deficits = worst_window_deficits(
-                mask,
-                adversary,
-                workspace=self.workspace,
-                backend=xp,
-                policy=self.policy,
+                mask, adversary, backend=xp, policy=self.policy
             )
         return ScenarioResult(
             params=self.params,

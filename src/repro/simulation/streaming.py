@@ -13,9 +13,10 @@ arbitrarily large trial count is produced while never holding more than
 * **chunked execution spine** — trials are drawn and analysed
   ``chunk_cells // rounds`` at a time (the shared
   :func:`repro.backend.chunking.resolve_chunk_cells` knob, overridable per
-  engine); each chunk runs the ordinary dense ``run_traces`` kernels over a
-  reused :class:`~repro.backend.Workspace` buffer, so the per-chunk math is
-  exactly the materialised engine's math;
+  engine); each chunk's traces land in a reused
+  :class:`~repro.backend.Workspace` buffer and run through the ordinary
+  dense ``run_traces`` kernels, so the per-chunk math is exactly the
+  materialised engine's math;
 * **online accumulation** — integer tallies (convergence / adversary block
   totals, Lemma 1 satisfaction, violation hits per requested depth) are
   exact; rate means and confidence intervals stream through
@@ -705,10 +706,13 @@ class StreamingBatchSimulation:
         A live :class:`numpy.random.Generator` is **rejected** — the
         chunk-invariance contract needs a spawnable seed, not a stateful
         stream (:func:`~repro.simulation.rng.derive_seed_sequence`).
-    draw_mode / delay_model / power / workspace:
+    draw_mode / delay_model / power:
         Forwarded to the underlying dense
         :class:`~repro.simulation.batch.BatchSimulation`, whose kernels
         analyse each chunk.
+    workspace:
+        Optional :class:`~repro.backend.Workspace` holding the per-chunk
+        trace buffers, reused across chunks and runs.
     chunk_cells:
         Execution chunk budget in cells; ``None`` defers to the shared
         :func:`repro.backend.chunking.resolve_chunk_cells` configuration
@@ -750,7 +754,6 @@ class StreamingBatchSimulation:
             draw_mode=draw_mode,
             delay_model=delay_model,
             power=power,
-            workspace=workspace,
         )
         self.workspace = workspace
 
@@ -906,6 +909,7 @@ class StreamingBatchSimulation:
                         delay_model.draw_delays(size, rounds, params.delta, rng)
                     )
                 offset += size
+                del honest, adversary  # free before the next block's draw
             result = engine.run_traces(
                 honest_buffer[:offset],
                 adversary_buffer[:offset],
@@ -1159,6 +1163,7 @@ class StreamingScenarioSimulation:
                         delay_model.draw_delays(size, rounds, params.delta, rng)
                     )
                 offset += size
+                del honest, adversary  # free before the next block's draw
             result = engine.run_traces(
                 honest_buffer[:offset],
                 adversary_buffer[:offset],

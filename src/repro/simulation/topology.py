@@ -52,6 +52,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..backend import get_backend, get_dtype_policy
+from ..backend.chunking import KERNEL_BLOCK_CELLS, chunk_trials
 from ..errors import SimulationError
 from ..observability import METRICS as _METRICS, TRACE as _TRACE
 from ..params import ProtocolParameters, coerce_positive_int
@@ -118,6 +119,11 @@ def convergence_opportunity_mask_with_delays(
     blocks with huge delays simply never complete an opportunity inside
     the obstructed span, which is exactly the consistency threat being
     measured.
+
+    The scan walks blocks of whole trials
+    (:data:`~repro.backend.chunking.KERNEL_BLOCK_CELLS` cells each), so its
+    temporaries stay cache-sized whatever the trial count; rows are
+    independent, so blocking never changes a value.
     """
     xp = get_backend(backend)
     policy = get_dtype_policy(policy)
@@ -140,8 +146,6 @@ def convergence_opportunity_mask_with_delays(
         raise SimulationError(
             f"max_delay must be >= delta ({delta}), got {max_delay!r}"
         )
-    if (offsets < 0).any() or (offsets > cap).any():
-        raise SimulationError(f"delays must lie in [0, {cap}]")
     trials, rounds = counts.shape
     mask = xp.zeros((trials, rounds), dtype=policy.mask_dtype(xp))
     # No early exit for short traces: with realized delays below delta an
@@ -149,36 +153,43 @@ def convergence_opportunity_mask_with_delays(
     # and completion conditions below make the constant-delta case return
     # all-false there, exactly like the classic mask).
     index = xp.arange(rounds, dtype=index_dtype)
-    success = counts > 0
-    # Delivery round of each mined block; -1 sentinels keep the running
-    # maximum below any real round for silent cells.
-    arrival = xp.where(success, index + offsets, -1)
-    previous_arrival = xp.maximum_accumulate(arrival, axis=1)
-    previous_arrival = xp.concatenate(
-        [xp.full((trials, 1), -1, dtype=index_dtype), previous_arrival[:, :-1]],
-        axis=1,
-    )
-    # First success strictly after each round, via a reversed running minimum.
-    next_success = xp.where(success, index, rounds)
-    next_success = xp.minimum_accumulate(next_success[:, ::-1], axis=1)[:, ::-1]
-    next_success = xp.concatenate(
-        [next_success[:, 1:], xp.full((trials, 1), rounds, dtype=index_dtype)],
-        axis=1,
-    )
-
-    completion = index + offsets
-    centre = (
-        (counts == 1)
-        & (previous_arrival < index)
-        & (next_success > completion)
-        & (index >= delta)
-        & (completion <= rounds - 1)
-    )
-    # Valid centres in one trial complete at distinct rounds (a later centre
-    # requires the earlier one's block to have been delivered first), so a
-    # plain scatter cannot collide.
-    rows, cols = xp.nonzero(centre)
-    mask[rows, completion[rows, cols]] = True
+    rows = chunk_trials(rounds, KERNEL_BLOCK_CELLS)
+    for start in range(0, trials, rows):
+        block = counts[start : start + rows]
+        offset = offsets[start : start + rows]
+        if (offset < 0).any() or (offset > cap).any():
+            raise SimulationError(f"delays must lie in [0, {cap}]")
+        height = block.shape[0]
+        success = block > 0
+        # Delivery round of each mined block; -1 sentinels keep the running
+        # maximum below any real round for silent cells.
+        completion = index + offset
+        arrival = xp.where(success, completion, -1)
+        previous_arrival = xp.maximum_accumulate(arrival, axis=1)
+        previous_arrival = xp.concatenate(
+            [xp.full((height, 1), -1, dtype=index_dtype), previous_arrival[:, :-1]],
+            axis=1,
+        )
+        # First success strictly after each round, via a reversed running
+        # minimum.
+        next_success = xp.where(success, index, rounds)
+        next_success = xp.minimum_accumulate(next_success[:, ::-1], axis=1)[:, ::-1]
+        next_success = xp.concatenate(
+            [next_success[:, 1:], xp.full((height, 1), rounds, dtype=index_dtype)],
+            axis=1,
+        )
+        centre = (
+            (block == 1)
+            & (previous_arrival < index)
+            & (next_success > completion)
+            & (index >= delta)
+            & (completion <= rounds - 1)
+        )
+        # Valid centres in one trial complete at distinct rounds (a later
+        # centre requires the earlier one's block to have been delivered
+        # first), so a plain scatter cannot collide.
+        hit_rows, hit_cols = xp.nonzero(centre)
+        mask[start + hit_rows, completion[hit_rows, hit_cols]] = True
     return mask
 
 

@@ -249,30 +249,16 @@ class TestWorkspace:
         assert np.array_equal(first.deepest_forks, snapshot)
 
     def test_engine_built_in_context_runs_outside_it(self):
-        """Engines bind backend, policy and workspace at construction; a run
-        issued after the `use_backend` context closed must use that binding
-        throughout (helpers and workspace must not re-consult the ambient
-        selection mid-run)."""
+        """Engines bind backend and policy at construction; a run issued
+        after the `use_backend` context closed must use that binding
+        throughout (the kernels must not re-consult the ambient selection
+        mid-run)."""
         params = parameters_from_c(c=4.0, n=400, delta=3, nu=0.2)
         baseline = BatchSimulation(params, rng=5).run(8, 700)
         with use_backend(NumpyBackend()):  # fresh instance, not the singleton
-            engine = BatchSimulation(params, rng=5, workspace=Workspace())
+            engine = BatchSimulation(params, rng=5)
         result = engine.run(8, 700)  # outside the context
         assert np.array_equal(
             baseline.convergence_opportunities, result.convergence_opportunities
         )
         assert np.array_equal(baseline.worst_deficits, result.worst_deficits)
-
-    def test_batch_workspace_path_matches_reference(self):
-        params = parameters_from_c(c=4.0, n=400, delta=3, nu=0.2)
-        reference = BatchSimulation(params, rng=11).run(12, 900)
-        workspace = Workspace()
-        for _ in range(2):  # second pass exercises warm-buffer reuse
-            pooled = BatchSimulation(params, rng=11, workspace=workspace).run(
-                12, 900
-            )
-            assert np.array_equal(
-                reference.convergence_opportunities,
-                pooled.convergence_opportunities,
-            )
-            assert np.array_equal(reference.worst_deficits, pooled.worst_deficits)

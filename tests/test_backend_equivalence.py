@@ -5,9 +5,9 @@ refactor (PR 4 state, ``rng=2026``, 12 trials x 600 rounds) by hashing the
 dtype, shape and raw bytes of every headline result tensor.  The refactored
 engines must reproduce them exactly on the default NumPy backend — under
 ambient selection, under an explicit ``use_backend("numpy")`` context, and
-through a shared :class:`~repro.backend.Workspace` — which pins the claim
-that routing the tensor math through ``repro.backend`` changed nothing
-about the arithmetic.
+(for the scenario scan) through a shared :class:`~repro.backend.Workspace`
+— which pins the claim that routing the tensor math through
+``repro.backend`` changed nothing about the arithmetic.
 """
 
 from __future__ import annotations
@@ -87,10 +87,8 @@ def _params(nu: float, delta: int):
     return parameters_from_c(c=1.0, n=400, delta=delta, nu=nu)
 
 
-def _batch_digest(nu, delta, workspace=None):
-    result = BatchSimulation(
-        _params(nu, delta), rng=SEED, workspace=workspace
-    ).run(TRIALS, ROUNDS)
+def _batch_digest(nu, delta):
+    result = BatchSimulation(_params(nu, delta), rng=SEED).run(TRIALS, ROUNDS)
     return _digest(
         result.convergence_opportunities,
         result.honest_blocks,
@@ -126,16 +124,6 @@ def test_batch_engine_bit_identical_to_pre_refactor(nu, delta):
 def test_batch_engine_bit_identical_under_explicit_numpy_backend(nu, delta):
     with use_backend("numpy"):
         assert _batch_digest(nu, delta) == BATCH_GOLDENS[(nu, delta)]
-
-
-@pytest.mark.parametrize("nu,delta", GRID)
-def test_batch_engine_bit_identical_through_workspace(nu, delta):
-    workspace = Workspace()
-    for _ in range(2):  # the second pass reuses warm buffers
-        assert (
-            _batch_digest(nu, delta, workspace=workspace)
-            == BATCH_GOLDENS[(nu, delta)]
-        )
 
 
 @pytest.mark.parametrize("nu,delta", GRID)

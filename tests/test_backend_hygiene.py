@@ -49,9 +49,9 @@ HOT_PATHS = [
     (batch, "draw_mining_traces"),
     (batch, "_bernoulli_counts"),
     (batch, "count_convergence_opportunities_batch"),
-    (batch, "_opportunity_mask_ws"),
+    (batch, "fixed_delta_opportunity_mask"),
     (batch, "worst_window_deficits"),
-    (batch, "_worst_window_deficits_ws"),
+    (batch, "BatchSimulation.run"),
     (batch, "BatchSimulation.run_traces"),
     (scenarios, "_max_window_successes"),
     (scenarios, "ScenarioSimulation.run_traces"),

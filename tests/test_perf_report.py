@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.analysis import DEFAULT_TOLERANCE, detect_regressions
@@ -143,6 +147,25 @@ class TestSentinelCli:
         assert main([str(path)]) == 0
         assert main([str(path), "--tolerance", "0.1"]) == 1
         assert main([str(path), "--tolerance", "0.1", "--min-history", "5"]) == 0
+
+    def test_module_entry_runs_without_runpy_warning(self, tmp_path):
+        path = tmp_path / "traj.json"
+        _write(path, "scenarios", "full", [10.0, 9.6, 9.5])
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src, env["PYTHONPATH"]] if env.get("PYTHONPATH") else [src]
+        )
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro.analysis.perf_sentinel", str(path)],
+            capture_output=True,
+            text=True,
+            env=env,
+            check=False,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert "scenarios/full" in completed.stdout
+        assert "RuntimeWarning" not in completed.stderr
 
     def test_default_tolerance_catches_exact_2x(self):
         # The advertised contract: a clean 2x slowdown (ratio 0.5) must sit
