@@ -11,14 +11,12 @@ engines dispatches through ``repro.backend``.  This script shows the two
 user-facing knobs and what the blocked analysis kernels buy:
 
 1. **backend selection** — enumerate the registry with
-   :func:`repro.backend.backend_specs` (unavailable accelerators report a
-   skip reason, never crash) and pin one with
+   :func:`repro.backend.backend_specs` (an unavailable backend reports a
+   skip reason, never crashes) and pin one with
    :func:`repro.backend.use_backend`; the ``REPRO_BACKEND`` environment
    variable does the same without code changes.  The NumPy reference
-   backend is bit-identical to the pre-backend engines; an installed
-   CuPy/torch stack activates the ``array_api`` backend and its results
-   still share the seed streams (randomness is drawn host-side and
-   bridged).
+   backend is bit-identical to the pre-backend engines, its binomial draws
+   included (randomness is drawn host-side).
 2. **dtype policies** — ``wide`` (int64/bool/float64, the bit-exact
    default) versus ``compact`` (int32/uint8/float32): integer outputs stay
    exact, float statistics agree within the documented tolerance, memory

@@ -4,9 +4,9 @@ Asynchronous Networks: Deriving a Neat Bound" (Jun Zhao, ICDCS 2020).
 The library has five layers:
 
 * :mod:`repro.params` — the protocol parameterisation of Table I;
-* :mod:`repro.backend` — the array-API backend layer every engine's tensor
-  math dispatches through (NumPy reference backend, optional accelerator
-  backend, dtype policies, preallocated workspaces);
+* :mod:`repro.backend` — the array backend layer every engine's tensor
+  math dispatches through (NumPy reference backend with an exact blocked
+  binomial kernel, dtype policies, preallocated workspaces);
 * :mod:`repro.core` — the paper's contribution: the neat bound
   ``2 mu / ln(mu/nu)``, Theorems 1-3, the two Markov chains C_F and C_F||P,
   the concentration bounds, and the PSS/Kiffer baselines;
@@ -236,15 +236,15 @@ engines dispatches through :mod:`repro.backend` — a registry of
 :class:`~repro.backend.ArrayBackend` dispatch tables selected ambiently by
 :func:`~repro.backend.use_backend` contexts or the ``REPRO_BACKEND``
 environment variable, with no engine-code changes.  The NumPy reference
-backend *is* NumPy (every op is the library function itself), so the
-default configuration is bit-identical to the pre-backend engines — pinned
-by pre-refactor golden digests; the optional ``array_api`` backend
-activates CuPy or torch through ``array_api_compat`` when installed and
-degrades to a clear :class:`~repro.errors.BackendUnavailableError`
-otherwise.  Randomness is always drawn host-side through the caller's
-:class:`numpy.random.Generator` and bridged to the device, so one seed
-produces one bit stream on every backend, and results return to host NumPy
-at the engine boundary (the analysis layer and the runner's caches stay
+backend *is* NumPy (every op but ``binomial`` is the library function
+itself, and ``binomial`` is a blocked kernel that returns exactly what
+``Generator.binomial`` returns), so the default configuration is
+bit-identical to the pre-backend engines — pinned by pre-refactor golden
+digests.  A backend name that is not registered raises a clear
+:class:`~repro.errors.BackendUnavailableError`.  Randomness is always drawn
+host-side through the caller's :class:`numpy.random.Generator`, so one
+seed produces one bit stream on every backend, and results return to host
+NumPy at the engine boundary (the analysis layer and the runner's caches stay
 backend-agnostic; default cache keys are unchanged).
 
 Two companion knobs tune the engines' memory behaviour: a
@@ -281,9 +281,8 @@ pieces:
   ambient backend and dtype policy;
 * **metrics** — counters and gauges (trials/rounds simulated, cache
   hits/misses and version skips per runner method, workspace reuse versus
-  fresh allocation, host↔device transfers, rare-event pilot iterations and
-  ESS) behind :func:`~repro.observability.use_metrics`, exported as one
-  JSON snapshot;
+  fresh allocation, rare-event pilot iterations and ESS) behind
+  :func:`~repro.observability.use_metrics`, exported as one JSON snapshot;
 * **run manifests** — ``ExperimentRunner(run_log=...)`` or
   ``REPRO_RUN_LOG=path`` appends one validated JSON line per ``run_*``
   call (schema ``repro.run_manifest``: params, seed, cache slot and

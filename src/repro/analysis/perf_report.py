@@ -52,6 +52,7 @@ HEADLINE_METRICS = {
     "topology": "speedup",
     "dynamics": "speedup",
     "backend": "speedup",
+    "backend_draw": "speedup",
     "equivocation": "speedup",
     "rare_events": "variance_reduction",
     "observability": "overhead_fraction",

@@ -8,15 +8,14 @@ calls.  The layer has four pieces:
 * **dispatch** (:mod:`repro.backend.dispatch`) — the backend registry plus
   ambient selection: ``use_backend("...")`` contexts (nesting, innermost
   wins), the ``REPRO_BACKEND`` environment variable, and the NumPy default.
-* **backends** — :class:`~repro.backend.numpy_backend.NumpyBackend` (the
-  reference: every op *is* the NumPy function, so results are bit-identical
-  to the pre-backend engines) and
-  :class:`~repro.backend.array_api.ArrayApiBackend` (CuPy / torch through
-  ``array_api_compat`` when installed; a clean
-  :class:`~repro.errors.BackendUnavailableError` otherwise).  Randomness is
-  always drawn host-side through the caller's
-  :class:`numpy.random.Generator` and bridged to the device, so one seed
-  produces one bit stream on every backend.
+* **backends** — :class:`~repro.backend.numpy_backend.NumpyBackend`, the
+  reference: every op but ``binomial`` *is* the NumPy function, and
+  ``binomial`` is an exact blocked kernel that returns what
+  ``Generator.binomial`` returns, so results are bit-identical to the
+  pre-backend engines.  Randomness is always drawn host-side through the
+  caller's :class:`numpy.random.Generator`, so one seed produces one bit
+  stream on every backend.  Asking for a backend name that is not
+  registered raises :class:`~repro.errors.BackendUnavailableError`.
 * **dtype policy** (:mod:`repro.backend.dtypes`) — a named dtype per tensor
   family: ``wide`` (int64 / bool / float64, the bit-exact default) and
   ``compact`` (int32 / uint8 / float32 — exact integers, float statistics
@@ -64,14 +63,11 @@ from .chunking import (
     resolve_chunk_cells,
 )
 from .numpy_backend import NumpyBackend
-from .array_api import ArrayApiBackend, PREFERRED_ACCELERATORS
 from .workspace import Workspace
 
 __all__ = [
     "ArrayBackend",
     "NumpyBackend",
-    "ArrayApiBackend",
-    "PREFERRED_ACCELERATORS",
     "ARRAY_OPS",
     "BACKEND_ENV_VAR",
     "DEFAULT_BACKEND",
@@ -98,4 +94,3 @@ __all__ = [
 ]
 
 register_backend("numpy", NumpyBackend)
-register_backend("array_api", ArrayApiBackend)

@@ -17,9 +17,9 @@ ambient, so swapping the array library requires no engine-code changes:
 Backends are registered as zero-argument factories, mirroring the delay-model
 registry of :mod:`repro.simulation.topology`; instances are cached after the
 first successful construction (backends are stateless dispatch tables).  A
-factory whose optional dependency is missing raises
-:class:`~repro.errors.BackendUnavailableError` — callers that probe for
-accelerators catch that one class and fall back or skip.
+name that is not registered, or a factory whose optional dependency is
+missing, raises :class:`~repro.errors.BackendUnavailableError` — callers
+that probe for a backend catch that one class and fall back or skip.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import os
 from contextlib import contextmanager
 from typing import Callable, Dict, Iterator, List, Optional, Union
 
-from ..errors import BackendError
+from ..errors import BackendError, BackendUnavailableError
 
 __all__ = [
     "ArrayBackend",
@@ -165,7 +165,7 @@ def _build(name: str) -> ArrayBackend:
         factory = _REGISTRY[name]
     except KeyError:
         known = ", ".join(sorted(_REGISTRY))
-        raise BackendError(
+        raise BackendUnavailableError(
             f"unknown backend {name!r}; registered backends: {known}"
         ) from None
     backend = factory()
@@ -202,7 +202,7 @@ def use_backend(backend: Union[str, ArrayBackend]) -> Iterator[ArrayBackend]:
     """Make ``backend`` the ambient selection for the context's duration.
 
     Contexts nest: the innermost selection wins and exiting restores the
-    enclosing one, so a sweep can pin an accelerator for one grid while a
+    enclosing one, so a sweep can pin a backend for one grid while a
     library-internal helper temporarily drops back to NumPy.
     """
     resolved = get_backend(backend)
@@ -218,7 +218,7 @@ def backend_specs() -> Dict[str, Dict[str, object]]:
 
     Unavailable backends report ``{"available": False, "error": ...}``
     instead of raising, so introspection never crashes on a machine without
-    the optional accelerator dependencies.
+    a registered backend's optional dependencies.
     """
     specs: Dict[str, Dict[str, object]] = {}
     for name in list_backends():

@@ -16,7 +16,7 @@ Two presets ship:
   dtypes the pre-backend engines hard-coded, so every golden and every
   equivalence grid is bit-identical under it.
 * ``compact`` — ``int32`` / ``uint8`` / ``float32``: half the memory
-  traffic per tensor, for accelerator backends and RAM-bound sweeps.
+  traffic per tensor, for RAM-bound sweeps.
   Integer results are still *exact* (heights and counts are bounded by the
   round count, far below ``2**31``; the engines reject runs where that
   could fail), while float statistics agree with ``wide`` only to

@@ -57,10 +57,11 @@ class ObservabilityError(ReproError, RuntimeError):
 
 
 class BackendUnavailableError(BackendError):
-    """Raised when a registered backend cannot run on this machine — its
-    optional dependency (``array_api_compat``, CuPy, torch) is not installed.
+    """Raised when a requested backend cannot run here — no backend of that
+    name is registered, or a registered factory's optional dependency is not
+    installed.
 
     Kept distinct from :class:`BackendError` so tests and sweep scripts can
-    *skip* gracefully instead of failing: unavailable hardware is an expected
+    *skip* gracefully instead of failing: a missing backend is an expected
     condition, a misconfigured registry is a bug.
     """

@@ -15,10 +15,9 @@ Four pieces, all off by default and all bit-neutral when off:
 * **metrics** (:mod:`repro.observability.metrics`) — counters and gauges
   behind the same handle pattern (:data:`METRICS`): trials simulated,
   rounds scanned, cache hits/misses per runner method, stale-by-version
-  cache skips, host<->device transfers in the accelerator backend,
-  workspace buffer reuse versus fresh allocation, rare-event pilot
-  iterations and ESS.  :meth:`Metrics.snapshot` exports everything as one
-  JSON-serializable dict.
+  cache skips, workspace buffer reuse versus fresh allocation, rare-event
+  pilot iterations and ESS.  :meth:`Metrics.snapshot` exports everything as
+  one JSON-serializable dict.
 * **run manifests** (:mod:`repro.observability.manifest`) — every
   ``ExperimentRunner.run_*`` call can append a validated JSONL record
   (params, seed, version, backend, cache key, hit/miss, duration, result

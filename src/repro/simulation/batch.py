@@ -8,11 +8,18 @@ events.  This module executes ``T`` independent trials *simultaneously* with
 array operations:
 
 * **oracle draws** — per-round honest/adversarial success counts for the
-  whole batch are drawn in one shot, either as ``(trials, rounds)`` binomial
-  tensors (the default; exactly the per-round distribution of Eq. 41) or as
-  an explicit ``(trials, rounds, miners)`` Bernoulli tensor reduced over the
-  miner axis (identical in distribution, useful for auditing the binomial
-  shortcut);
+  whole batch are drawn as ``(trials, rounds)`` binomial tensors (the
+  default; exactly the per-round distribution of Eq. 41) or as an explicit
+  ``(trials, rounds, miners)`` Bernoulli tensor reduced over the miner axis
+  (identical in distribution, useful for auditing the binomial shortcut).
+  The binomial tensors come from the NumPy backend's exact blocked kernel
+  (:meth:`~repro.backend.NumpyBackend.binomial`).  In NumPy's inversion
+  regime (``n * min(p, 1 - p) <= 30``) it draws cache-sized blocks of
+  uniforms with ``Generator.random`` and counts how many precomputed
+  inversion thresholds each one reaches; other draws go to
+  ``Generator.binomial``.  The samples and the generator state afterwards
+  equal ``Generator.binomial``'s bit for bit, so the draw stream and every
+  golden are unchanged;
 * **convergence-opportunity detection** — the pattern ``N^Δ H_1 N^Δ`` of
   Eq. (42) is located for every trial at once with one cumulative-sum
   window test (:func:`fixed_delta_opportunity_mask`), matching the streaming
@@ -27,10 +34,10 @@ array operations:
 Every tensor operation dispatches through the active
 :class:`~repro.backend.ArrayBackend` (see :mod:`repro.backend`): the NumPy
 reference backend reproduces the historical engine bit for bit, and
-``use_backend`` / ``REPRO_BACKEND`` swap in an accelerator without touching
-this module.  Randomness is always drawn host-side through the caller's
-:class:`numpy.random.Generator` and bridged to the device, and dtypes follow
-the active :class:`~repro.backend.DtypePolicy`.  The mask and drawdown
+``use_backend`` / ``REPRO_BACKEND`` select another registered backend
+without touching this module.  Randomness is always drawn host-side through
+the caller's :class:`numpy.random.Generator`, and dtypes follow the active
+:class:`~repro.backend.DtypePolicy`.  The mask and drawdown
 kernels have one implementation each, and each walks blocks of whole trials
 (:data:`~repro.backend.chunking.KERNEL_BLOCK_CELLS` cells) through about
 1 MB of scratch, so every pass over a block stays in cache and the only

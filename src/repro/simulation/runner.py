@@ -28,7 +28,10 @@ streaming), the cache prefix and the manifest method name; the spine adds:
   each worker's spans / metrics / manifest records back with its result and
   merges them into the parent's observability state (see
   :mod:`repro.observability.distributed`), so a sharded grid reports
-  exactly like a sequential one.
+  exactly like a sequential one.  A point that raises in a worker does not
+  discard the others: the grid finishes, the completed points' telemetry
+  is merged, and a :class:`~repro.errors.SimulationError` naming the
+  failing point's index and identity is raised from the original error.
 
 The ``run_*`` / ``run_*_grid`` methods are thin wrappers that build specs.
 """
@@ -39,7 +42,9 @@ import hashlib
 import json
 import logging
 import os
+import pickle
 import time
+import traceback
 import zipfile
 from dataclasses import dataclass, fields
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
@@ -234,10 +239,34 @@ class _WorkerOutcome:
     telemetry: Optional[WorkerTelemetry]
 
 
-def _run_task(task: tuple) -> tuple:
-    """Pool worker: run one pickled spec, return ``(index, _WorkerOutcome)``.
+@dataclass
+class _WorkerFailure:
+    """A grid point whose worker raised: the error and its traceback text."""
 
-    The index lets the parent reorder ``imap_unordered`` completions
+    error: BaseException
+    traceback: str
+
+
+def _portable(error: BaseException) -> BaseException:
+    """``error`` if it survives a pickle round trip, else a stand-in.
+
+    An exception whose constructor cannot be re-called from its ``args``
+    would fail to unpickle in the parent's result thread; it crosses the
+    pool as a :class:`SimulationError` carrying its type and message.
+    """
+    try:
+        pickle.loads(pickle.dumps(error))
+    except Exception:
+        return SimulationError(f"{type(error).__name__}: {error}")
+    return error
+
+
+def _run_task(task: tuple) -> tuple:
+    """Pool worker: run one pickled spec, return ``(index, outcome)``.
+
+    The outcome is a :class:`_WorkerOutcome`, or a :class:`_WorkerFailure`
+    when the point raised, so one failing point never aborts the pool.  The
+    index lets the parent reorder ``imap_unordered`` completions
     deterministically, and the capture flags (computed by the *parent* from
     its own observability state) scope a tracer / metrics registry /
     buffering run log around the point so spans, counters and manifest
@@ -245,15 +274,18 @@ def _run_task(task: tuple) -> tuple:
     """
     index, flags, spec, base_seed, draw_mode, cache_dir = task
     started = time.perf_counter()
-    with capture_worker_telemetry(**flags) as capture:
-        runner = ExperimentRunner(
-            base_seed=base_seed,
-            cache_dir=cache_dir,
-            draw_mode=draw_mode,
-            run_log=capture.run_log,
-            progress=(),
-        )
-        result = runner.run(spec)
+    try:
+        with capture_worker_telemetry(**flags) as capture:
+            runner = ExperimentRunner(
+                base_seed=base_seed,
+                cache_dir=cache_dir,
+                draw_mode=draw_mode,
+                run_log=capture.run_log,
+                progress=(),
+            )
+            result = runner.run(spec)
+    except Exception as error:
+        return index, _WorkerFailure(_portable(error), traceback.format_exc())
     return index, _WorkerOutcome(
         result=result,
         cache_hits=runner.cache_hits,
@@ -389,8 +421,8 @@ class ExperimentRunner:
         identity = _digest(payload)
         payload["package_version"] = _version.__version__
         # Non-default backends and dtype policies get their own cache slots
-        # (compact float statistics differ within a documented tolerance;
-        # accelerator kernels need not be bit-reproducible across devices).
+        # (compact float statistics differ within a documented tolerance,
+        # and another backend's kernels need not be bit-reproducible).
         # Default-configuration keys are unchanged, so warm caches and the
         # base_seed=2026 goldens survive this layer.  Seeds deliberately
         # ignore both: the host-seeded RNG bridge makes one seed produce one
@@ -737,7 +769,10 @@ class ExperimentRunner:
         path ships each worker's telemetry back and merges it (spans grafted
         under the grid span shard-stamped, counters folded into the ambient
         registry, manifests appended to the parent run log), so a sharded
-        grid reports like a sequential one.
+        grid reports like a sequential one.  When a worker raises, the other
+        points still run and their telemetry is merged; then a
+        :class:`~repro.errors.SimulationError` naming the lowest failing
+        index and its identity digest is raised from the worker's error.
         """
         specs = list(specs)
         if not specs:
@@ -784,10 +819,14 @@ class ExperimentRunner:
                 for index, spec in enumerate(specs)
             ]
             outcomes: List[Optional[_WorkerOutcome]] = [None] * len(tasks)
+            failures = {}
             import multiprocessing
 
             with multiprocessing.Pool(min(self.processes, len(tasks))) as pool:
                 for index, outcome in pool.imap_unordered(_run_task, tasks):
+                    if isinstance(outcome, _WorkerFailure):
+                        failures[index] = outcome
+                        continue
                     outcomes[index] = outcome
                     if progress is not None:
                         progress.point_done(
@@ -800,6 +839,8 @@ class ExperimentRunner:
             # grafted spans and manifest lines land deterministically.
             results = []
             for index, outcome in enumerate(outcomes):
+                if outcome is None:
+                    continue
                 self.cache_hits += outcome.cache_hits
                 self.cache_misses += outcome.cache_misses
                 self.version_skips += outcome.version_skips
@@ -811,7 +852,28 @@ class ExperimentRunner:
                     logger=_LOGGER,
                 )
                 results.append(outcome.result)
+            if failures:
+                self._raise_worker_failure(specs, failures)
             return results
+
+    def _raise_worker_failure(self, specs: list, failures: dict) -> None:
+        """Raise the lowest-index worker failure as a named SimulationError."""
+        from multiprocessing.pool import RemoteTraceback
+
+        index = min(failures)
+        failure = failures[index]
+        identity, _ = self._keys(specs[index].payload())
+        error = failure.error
+        # Show the worker-side traceback under the chained error, the way
+        # multiprocessing does for a task that raises.
+        error.__cause__ = RemoteTraceback(failure.traceback)
+        others = len(failures) - 1
+        raise SimulationError(
+            f"grid point {index} ({specs[index].method}, identity "
+            f"{identity}) raised in a pool worker: "
+            f"{type(error).__name__}: {error}"
+            + (f" ({others} more point(s) failed too)" if others else "")
+        ) from error
 
     # ------------------------------------------------------------------
     # Public wrappers: one spec per point

@@ -2,9 +2,10 @@
 
 The backend abstraction only holds if nobody quietly reintroduces a
 module-level ``np.`` call into a refactored kernel.  This test parses the
-four engine modules and asserts that every designated hot-path function
-touches ``np``/``numpy`` only through the allowlisted host-boundary names
-(type annotations and the :class:`numpy.random.Generator` seeding surface).
+engine modules and the NumPy backend's binomial kernel and asserts that
+every designated hot-path function touches ``np``/``numpy`` only through
+the allowlisted host-boundary names (type annotations and the
+:class:`numpy.random.Generator` seeding surface).
 Everything tensor-shaped must go through the dispatched backend handle or
 Python operators, which dispatch through the array type itself.
 
@@ -28,6 +29,7 @@ import inspect
 
 import pytest
 
+import repro.backend.numpy_backend as numpy_backend
 import repro.simulation.batch as batch
 import repro.simulation.dynamics as dynamics
 import repro.simulation.rare_events as rare_events
@@ -46,6 +48,7 @@ ALLOWED_ATTRS = {"ndarray", "random"}
 
 #: The hot-path functions the guard covers, as (module, qualname) pairs.
 HOT_PATHS = [
+    (numpy_backend, "NumpyBackend.binomial"),
     (batch, "draw_mining_traces"),
     (batch, "_bernoulli_counts"),
     (batch, "count_convergence_opportunities_batch"),

@@ -229,6 +229,63 @@ class TestGrid:
         assert [child.name for child in root.children] == ["runner.run_point"] * 2
 
 
+class TestWorkerFailure:
+    """Fault injection: one grid point raises inside a 2-process pool."""
+
+    SPECS = [
+        Experiment(PARAMS, 3, 300),
+        Experiment(PARAMS, 5, 300),
+        Experiment(OTHER, 3, 300),
+    ]
+
+    @staticmethod
+    def _inject(monkeypatch, error):
+        compute = ExperimentRunner._compute
+
+        def faulty(self, spec, seed):
+            if spec.trials == 5:
+                raise error
+            return compute(self, spec, seed)
+
+        # Pool workers fork from this process and inherit the patch.
+        monkeypatch.setattr(ExperimentRunner, "_compute", faulty)
+
+    def test_failing_point_is_named_and_completed_telemetry_kept(
+        self, monkeypatch, tmp_path
+    ):
+        self._inject(monkeypatch, ValueError("injected fault"))
+        runner = ExperimentRunner(
+            base_seed=4, processes=2, cache_dir=str(tmp_path / "grid")
+        )
+        with use_metrics() as metrics, pytest.raises(SimulationError) as caught:
+            runner.run_many(self.SPECS)
+        monkeypatch.undo()
+        message = str(caught.value)
+        assert "grid point 1 (run_point" in message
+        assert "ValueError: injected fault" in message
+        assert isinstance(caught.value.__cause__, ValueError)
+        # The identity is the digest that names the point's cache sidecar.
+        alone = tmp_path / "alone"
+        ExperimentRunner(base_seed=4, cache_dir=str(alone)).run(self.SPECS[1])
+        (sidecar,) = glob.glob(str(alone / "*.latest.json"))
+        identity = os.path.basename(sidecar)[: -len(".latest.json")]
+        assert identity.rsplit("_", 1)[1] in message
+        # The two completed points were folded in before the raise.
+        assert runner.cache_misses == 2
+        counters = metrics.snapshot()["counters"]
+        assert counters["runner.run_point.cache_misses"] == 2
+        assert len(glob.glob(str(tmp_path / "grid" / "*.latest.json"))) == 2
+
+    def test_unpicklable_error_crosses_the_pool_by_name(self, monkeypatch):
+        class LocalFault(Exception):
+            """Defined in a function, so it cannot be pickled."""
+
+        self._inject(monkeypatch, LocalFault("cannot travel"))
+        with pytest.raises(SimulationError) as caught:
+            ExperimentRunner(base_seed=4, processes=2).run_many(self.SPECS)
+        assert "LocalFault: cannot travel" in str(caught.value)
+
+
 class TestValidation:
     def test_invalid_configuration_raises(self):
         with pytest.raises(SimulationError):
