@@ -17,6 +17,8 @@ The contract under test (see :mod:`repro.simulation.streaming`):
 from __future__ import annotations
 
 import contextlib
+import hashlib
+import json
 import math
 import os
 
@@ -229,6 +231,86 @@ class TestChunkInvariance:
         simulation.materialize_traces(300, 200)
         second = simulation.run(300, 200, depths=(1,))
         assert first.payload() == second.payload()
+
+
+#: Streamed configurations whose draw takes a third tensor after the two
+#: mining tensors: the delays of a non-trivial delay model (an explicit one,
+#: or the time-varying model a full-eclipse PartitionScenario builds) or the
+#: minority split of a partial cut.  Each is ``(engine factory, run kwargs)``.
+THIRD_DRAW_CONFIGS = {
+    "uniform_delay_batch": (
+        lambda chunk: StreamingBatchSimulation(
+            PARAMS, seed=BASE_SEED, delay_model="uniform", chunk_cells=chunk
+        ),
+        {"depths": (1, 2)},
+    ),
+    "uniform_delay_private_chain": (
+        lambda chunk: StreamingScenarioSimulation(
+            PARAMS,
+            "private_chain",
+            seed=BASE_SEED,
+            delay_model="uniform",
+            chunk_cells=chunk,
+        ),
+        {},
+    ),
+    "eclipse_partition": (
+        lambda chunk: StreamingScenarioSimulation(
+            PARAMS,
+            PartitionScenario(
+                name="eclipse_stream",
+                kind="private_chain",
+                target_depth=1,
+                partition_start=50,
+                partition_duration=40,
+            ),
+            seed=BASE_SEED,
+            chunk_cells=chunk,
+        ),
+        {},
+    ),
+    "partial_cut_partition": (
+        lambda chunk: StreamingScenarioSimulation(
+            PARAMS,
+            PartitionScenario(
+                name="cut_stream",
+                kind="private_chain",
+                target_depth=2,
+                partition_start=50,
+                partition_duration=40,
+                cut_fraction=0.3,
+            ),
+            seed=BASE_SEED,
+            chunk_cells=chunk,
+        ),
+        {},
+    ),
+}
+
+#: sha256 of each configuration's streamed payload (minus ``n_chunks``) at
+#: 300 trials x 200 rounds in 81-trial seed blocks.  Any change to the
+#: streamed draw order, the per-block seeding or the accumulators moves these.
+THIRD_DRAW_DIGESTS = {
+    "eclipse_partition": "7e642315768d815d10c2567bee8f7bcda63422d5d43aa97b3196c44bf201d698",
+    "partial_cut_partition": "07a90222cdb8020825d47274784bb4202f618d884d6fd1366279569a035ef4d1",
+    "uniform_delay_batch": "267fdbdd2be89dca30adf327b9951ea7075ff88447a62616b333671d624878bb",
+    "uniform_delay_private_chain": "c5bdd03d9f14f2e0aadfeb69c065fde35b69744330c650bf65df3185e0840e5f",
+}
+
+
+class TestStreamedDigests:
+    """Golden pins for the streamed runs that take a third draw."""
+
+    @pytest.mark.parametrize("chunk_cells", [1, 5_000, 10**9])
+    @pytest.mark.parametrize("name", sorted(THIRD_DRAW_CONFIGS))
+    def test_payload_digest_is_pinned(self, name, chunk_cells):
+        factory, kwargs = THIRD_DRAW_CONFIGS[name]
+        with _seed_block_cells(16_384):
+            result = factory(chunk_cells).run(300, 200, **kwargs)
+        digest = hashlib.sha256(
+            json.dumps(_state(result), sort_keys=True).encode()
+        ).hexdigest()
+        assert digest == THIRD_DRAW_DIGESTS[name]
 
 
 class TestDenseEquivalence:
