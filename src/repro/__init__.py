@@ -206,11 +206,14 @@ linearly with ``trials`` — at ``1e8`` trials the trace tensors alone pass
 scenarios) drive the *same dense kernels* in bounded chunks: trials are
 carved into fixed seed blocks
 (:data:`~repro.simulation.SEED_BLOCK_CELLS` cells each, every block drawn
-from its own spawned :class:`numpy.random.SeedSequence`), each execution
-chunk groups whole consecutive blocks inside the
+from its own spawned :class:`numpy.random.SeedSequence` by the dense
+engines' own draw function, :func:`~repro.simulation.draw_traces`), each
+execution chunk groups whole consecutive blocks inside the
 ``REPRO_CHUNK_CELLS``/``chunk_cells`` budget, and per-block slices fold
 into online accumulators — exact integer tallies, Chan/Kahan-merged float
-moments, a bounded worst-deficit histogram.  The streamed summary has the
+moments, a bounded worst-deficit histogram.  Both streamed engines run on
+one seed-block chunk loop; they differ only in the dense engine, the
+accumulator and the result they build.  The streamed summary has the
 same keys as the dense ``summary()`` (integer-backed entries exact, float
 moments within :data:`~repro.simulation.STREAM_STAT_RTOL`), and because
 draws are per-block — never per-chunk — it is **bit-identical for every

@@ -42,6 +42,8 @@ import sys
 import time
 from typing import Dict, List, Optional, Sequence, Union
 
+from ..errors import ObservabilityError
+
 __all__ = [
     "PROGRESS_ENV_VAR",
     "PROGRESS_SCHEMA",
@@ -84,15 +86,28 @@ class StderrProgressSink:
 
 
 class JsonlProgressSink:
-    """Append one JSON object per event to a file (created on first emit)."""
+    """Append one JSON object per event to a file.
+
+    The file and its directory are created when the sink is built, so a
+    path that cannot be written fails at once — before a grid computes any
+    point — with an :class:`~repro.errors.ObservabilityError` naming it.
+    """
 
     def __init__(self, path: Union[str, os.PathLike]):
         self.path = os.fspath(path)
+        try:
+            directory = os.path.dirname(self.path)
+            if directory:
+                os.makedirs(directory, exist_ok=True)
+            with open(self.path, "a", encoding="utf-8"):
+                pass
+        except OSError as error:
+            raise ObservabilityError(
+                f"cannot write grid progress to {self.path!r} (set by "
+                f"{PROGRESS_ENV_VAR} or progress=): {error}"
+            ) from error
 
     def emit(self, event: dict) -> None:
-        directory = os.path.dirname(self.path)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
         with open(self.path, "a", encoding="utf-8") as sink:
             sink.write(json.dumps(event, sort_keys=True) + "\n")
 

@@ -122,6 +122,7 @@ from .batch import (
     convergence_opportunity_mask,
     count_convergence_opportunities_batch,
     draw_mining_traces,
+    draw_traces,
     worst_window_deficits,
 )
 from .miners import HonestPopulation
@@ -227,6 +228,7 @@ __all__ = [
     "BatchSimulation",
     "BatchResult",
     "draw_mining_traces",
+    "draw_traces",
     "convergence_opportunity_mask",
     "count_convergence_opportunities_batch",
     "worst_window_deficits",

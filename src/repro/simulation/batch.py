@@ -84,6 +84,7 @@ from .topology import (
 __all__ = [
     "DRAW_MODES",
     "draw_mining_traces",
+    "draw_traces",
     "convergence_opportunity_mask",
     "count_convergence_opportunities_batch",
     "fixed_delta_opportunity_mask",
@@ -175,6 +176,84 @@ def draw_mining_traces(
         xp, index_dtype, generator, trials, rounds, adversary_miners, params.p
     )
     return honest, adversary
+
+
+def _third_draw(
+    delay_model: Optional[DelayModel], cut_fraction: Optional[float]
+) -> Optional[str]:
+    """The ``run_traces`` keyword a run's third tensor feeds, or ``None``.
+
+    A partial cut draws the minority split; otherwise a non-trivial delay
+    model draws the delays; otherwise nothing is drawn after the two mining
+    tensors.
+    """
+    if cut_fraction is not None:
+        return "split_counts"
+    if delay_model is not None and not delay_model.trivial:
+        return "delays"
+    return None
+
+
+def draw_traces(
+    params: ProtocolParameters,
+    trials: int,
+    rounds: int,
+    rng: SeedLike = None,
+    draw_mode: str = "binomial",
+    power: Optional[MiningPowerProfile] = None,
+    delay_model: Optional[DelayModel] = None,
+    cut_fraction: Optional[float] = None,
+    backend: Optional[ArrayBackend] = None,
+    policy=None,
+):
+    """Draw one run's traces: honest, adversarial, then the third tensor.
+
+    This is the draw protocol of every engine, dense and streamed.  The two
+    mining tensors come from :func:`draw_mining_traces`; the optional third
+    tensor is drawn from the same generator right after them:
+
+    * a partial cut (``cut_fraction`` set) draws the minority split, per
+      round ``Binomial(honest, cut_fraction)`` of the honest successes;
+    * otherwise a non-trivial ``delay_model`` draws per-block delivery
+      offsets (``fixed_delta`` consumes no entropy and draws nothing);
+    * otherwise nothing more is drawn.
+
+    Returns ``(honest, adversary, extra)``, where ``extra`` holds the
+    matching ``run_traces`` keywords: ``split_counts``, or ``delays`` and
+    ``max_delay``, or nothing.
+
+    >>> from repro.params import parameters_from_c
+    >>> params = parameters_from_c(c=4.0, n=1_000, delta=3, nu=0.2)
+    >>> honest, adversary, extra = draw_traces(params, 4, 50, rng=0)
+    >>> honest.shape, adversary.shape, extra
+    ((4, 50), (4, 50), {})
+    """
+    generator = resolve_rng(rng)
+    xp = get_backend(backend)
+    honest, adversary = draw_mining_traces(
+        params,
+        trials,
+        rounds,
+        generator,
+        draw_mode,
+        power=power,
+        backend=xp,
+        policy=policy,
+    )
+    third = _third_draw(delay_model, cut_fraction)
+    if third == "split_counts":
+        split = xp.binomial(
+            generator, xp.to_host(honest), float(cut_fraction), honest.shape
+        )
+        return honest, adversary, {"split_counts": split}
+    if third == "delays":
+        return honest, adversary, {
+            "delays": delay_model.draw_delays(
+                trials, rounds, params.delta, generator
+            ),
+            "max_delay": delay_model.delay_cap(params.delta, rounds),
+        }
+    return honest, adversary, {}
 
 
 def _bernoulli_counts(
@@ -575,8 +654,8 @@ class BatchSimulation:
     ) -> BatchResult:
         """Draw fresh traces for ``trials`` independent runs and analyse them.
 
-        The draw order is honest tensor, adversarial tensor, then (only for
-        a non-trivial delay model) the delay tensor — so with
+        The draw is :func:`draw_traces`: honest tensor, adversarial tensor,
+        then (only for a non-trivial delay model) the delay tensor — so with
         ``delay_model=None`` or ``"fixed_delta"`` a seed produces exactly
         the pre-topology stream.
         """
@@ -588,31 +667,19 @@ class BatchSimulation:
             delay_model=self._delay_model_name,
         ):
             with _TRACE.span("batch.draw"):
-                honest, adversary = draw_mining_traces(
+                honest, adversary, extra = draw_traces(
                     self.params,
                     trials,
                     rounds,
                     self.rng,
                     self.draw_mode,
                     power=self.power,
+                    delay_model=self.delay_model,
                     backend=self.backend,
                     policy=self.policy,
                 )
-                delays = None
-                max_delay = None
-                if self.delay_model is not None and not self.delay_model.trivial:
-                    delays = self.delay_model.draw_delays(
-                        trials, rounds, self.params.delta, self.rng
-                    )
-                    max_delay = self.delay_model.delay_cap(
-                        self.params.delta, rounds
-                    )
             return self.run_traces(
-                honest,
-                adversary,
-                keep_traces=keep_traces,
-                delays=delays,
-                max_delay=max_delay,
+                honest, adversary, keep_traces=keep_traces, **extra
             )
 
     def run_traces(

@@ -76,7 +76,7 @@ from ..observability import METRICS as _METRICS, TRACE as _TRACE
 from ..params import ProtocolParameters
 from .batch import (
     BatchSimulation,
-    draw_mining_traces,
+    draw_traces,
     fixed_delta_opportunity_mask,
     proportion_confidence_interval,
 )
@@ -553,7 +553,7 @@ class RareEventSimulation:
             "rare.plain", trials=int(trials), rounds=int(rounds), depth=self.depth
         ):
             for chunk in chunk_sizes(trials, rounds, self._chunk_cells()):
-                honest, adversary = draw_mining_traces(
+                honest, adversary, _ = draw_traces(
                     self.params,
                     chunk,
                     rounds,
@@ -747,7 +747,7 @@ class RareEventSimulation:
             rounds=int(rounds),
             depth=self.depth,
         ):
-            honest, adversary = draw_mining_traces(
+            honest, adversary, _ = draw_traces(
                 self.params,
                 trials,
                 rounds,
@@ -780,7 +780,7 @@ class RareEventSimulation:
                     self.rng.integers(0, hits, size=trials)
                 ]
                 crossings = first_crossing[ancestors]
-                fresh_honest, fresh_adversary = draw_mining_traces(
+                fresh_honest, fresh_adversary, _ = draw_traces(
                     self.params,
                     trials,
                     rounds,

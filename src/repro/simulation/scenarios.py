@@ -97,7 +97,7 @@ from .adversary import (
 from .batch import (
     DRAW_MODES,
     _confidence_interval,
-    draw_mining_traces,
+    draw_traces,
     fixed_delta_opportunity_mask,
     proportion_confidence_interval,
     worst_window_deficits,
@@ -848,7 +848,7 @@ class ScenarioSimulation:
         ``"selfish_mining"``) or a :class:`Scenario` instance.
     rng:
         Source of randomness; the draw protocol is exactly
-        :func:`~repro.simulation.batch.draw_mining_traces`, so one seed
+        :func:`~repro.simulation.batch.draw_traces`, so one seed
         determines the whole batch and the scripted-replay harness can
         regenerate it.
     draw_mode:
@@ -1045,12 +1045,13 @@ class ScenarioSimulation:
     ) -> ScenarioResult:
         """Draw fresh traces for ``trials`` independent runs and simulate them.
 
-        Draw order: honest tensor, adversarial tensor, then (non-trivial
-        delay models only) the delay tensor — ``fixed_delta`` consumes no
-        entropy, so its stream matches the legacy engine's exactly.  A
-        partial-cut scenario has no delay model, so its third draw is the
-        minority-split tensor: per round, ``Binomial(honest, cut_fraction)``
-        of the honest successes land in the minority component.
+        The draw is :func:`~repro.simulation.batch.draw_traces`: honest
+        tensor, adversarial tensor, then (non-trivial delay models only) the
+        delay tensor — ``fixed_delta`` consumes no entropy, so its stream
+        matches the legacy engine's exactly.  A partial-cut scenario has no
+        delay model, so its third draw is the minority-split tensor: per
+        round, ``Binomial(honest, cut_fraction)`` of the honest successes
+        land in the minority component.
         """
         with _TRACE.span(
             "scenario.run",
@@ -1060,48 +1061,24 @@ class ScenarioSimulation:
             draw_mode=self.draw_mode,
         ):
             with _TRACE.span("scenario.draw"):
-                honest, adversary = draw_mining_traces(
+                honest, adversary, extra = draw_traces(
                     self.params,
                     trials,
                     rounds,
                     self.rng,
                     self.draw_mode,
                     power=self.power,
+                    delay_model=self.delay_model,
+                    cut_fraction=self._cut_fraction,
                     backend=self.backend,
                     policy=self.policy,
                 )
-                if self._cut_fraction is not None:
-                    split = self.backend.binomial(
-                        self.rng,
-                        self.backend.to_host(honest),
-                        float(self._cut_fraction),
-                        honest.shape,
-                    )
-            if self._cut_fraction is not None:
-                return self.run_traces(
-                    honest,
-                    adversary,
-                    keep_traces=keep_traces,
-                    record_rounds=record_rounds,
-                    split_counts=split,
-                )
-            with _TRACE.span("scenario.draw_delays"):
-                delays = None
-                max_delay = None
-                if self.delay_model is not None and not self.delay_model.trivial:
-                    delays = self.delay_model.draw_delays(
-                        trials, rounds, self.params.delta, self.rng
-                    )
-                    max_delay = self.delay_model.delay_cap(
-                        self.params.delta, rounds
-                    )
             return self.run_traces(
                 honest,
                 adversary,
                 keep_traces=keep_traces,
                 record_rounds=record_rounds,
-                delays=delays,
-                max_delay=max_delay,
+                **extra,
             )
 
     def run_traces(

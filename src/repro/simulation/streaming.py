@@ -10,13 +10,18 @@ audited, golden-pinned implementations) but drives them in fixed-size
 arbitrarily large trial count is produced while never holding more than
 ``chunk x rounds`` cells of trace data:
 
-* **chunked execution spine** — trials are drawn and analysed
-  ``chunk_cells // rounds`` at a time (the shared
-  :func:`repro.backend.chunking.resolve_chunk_cells` knob, overridable per
-  engine); each chunk's traces land in a reused
-  :class:`~repro.backend.Workspace` buffer and run through the ordinary
-  dense ``run_traces`` kernels, so the per-chunk math is exactly the
-  materialised engine's math;
+* **one chunk loop** — both streamed engines run on one seed-block
+  loop: trials are drawn and analysed ``chunk_cells // rounds`` at a time
+  (the shared :func:`repro.backend.chunking.resolve_chunk_cells` knob,
+  overridable per engine); every seed block is drawn by the dense engines'
+  own draw function, :func:`~repro.simulation.batch.draw_traces` (honest,
+  adversarial, then the optional split or delay tensor), lands in chunk
+  buffers (reused :class:`~repro.backend.Workspace` buffers when a
+  workspace is given) and each chunk runs through the ordinary dense
+  ``run_traces`` kernels, so the per-chunk math is exactly the materialised
+  engine's math.  :class:`StreamingBatchSimulation` and
+  :class:`StreamingScenarioSimulation` add only the dense engine, the
+  accumulator and the result they build;
 * **online accumulation** — integer tallies (convergence / adversary block
   totals, Lemma 1 satisfaction, violation hits per requested depth) are
   exact; rate means and confidence intervals stream through
@@ -41,11 +46,12 @@ means and normal-approximation intervals) agree within
 :data:`STREAM_STAT_RTOL` — the online merge is algebraically the same mean
 and variance, accumulated in a different (but fixed) association order.
 
-The streamed draw protocol deliberately differs from the dense engines'
+The streamed seeding deliberately differs from the dense engines'
 single-generator protocol (per-block spawned child generators instead of one
 stream), so a streamed run is a *new* seeded experiment, not a re-execution
-of a dense one; :meth:`StreamingBatchSimulation.materialize_traces` exposes
-the streamed protocol's full tensors for audits and equivalence tests.
+of a dense one; ``materialize_traces`` (one implementation, on both
+streamed engines) exposes the streamed protocol's full tensors for audits
+and equivalence tests.
 """
 
 from __future__ import annotations
@@ -70,7 +76,8 @@ from ..params import ProtocolParameters
 from .batch import (
     BatchResult,
     BatchSimulation,
-    draw_mining_traces,
+    _third_draw,
+    draw_traces,
     proportion_confidence_interval,
 )
 from .rng import SeedLike, derive_seed_sequence
@@ -694,7 +701,161 @@ def _validate_shape(trials: int, rounds: int) -> Tuple[int, int]:
     return trials, rounds
 
 
-class StreamingBatchSimulation:
+class _SeedBlockStream:
+    """The seed-block chunk loop both streamed engines run on.
+
+    A subclass binds a dense ``engine`` (anything with ``run_traces`` and
+    the draw settings ``draw_mode`` / ``power`` / ``delay_model``) and, for
+    partial-cut scenarios, the ``_cut_fraction`` its draw takes.  Every seed
+    block is drawn through :func:`~repro.simulation.batch.draw_traces` from
+    its own spawned child seed, copied into the chunk buffers, and each
+    chunk of whole blocks runs through ``engine.run_traces``.
+    """
+
+    _cut_fraction: Optional[float] = None
+
+    def __init__(
+        self,
+        params: ProtocolParameters,
+        seed: SeedLike,
+        workspace: Optional[Workspace],
+        chunk_cells: Optional[int],
+    ):
+        self.params = params
+        self.seed_sequence = derive_seed_sequence(seed)
+        self.chunk_cells = (
+            None if chunk_cells is None else resolve_chunk_cells(chunk_cells)
+        )
+        self.workspace = workspace
+
+    @property
+    def draw_mode(self) -> str:
+        return self.engine.draw_mode
+
+    def _draw_block(self, size: int, rounds: int, child):
+        """One seed block's traces, drawn from its own child seed."""
+        engine = self.engine
+        return draw_traces(
+            self.params,
+            size,
+            rounds,
+            np.random.default_rng(child),
+            engine.draw_mode,
+            power=engine.power,
+            delay_model=engine.delay_model,
+            cut_fraction=self._cut_fraction,
+            backend=engine.backend,
+            policy=engine.policy,
+        )
+
+    def _stream(
+        self,
+        accumulator,
+        trials: int,
+        rounds: int,
+        progress,
+        span: str,
+        label: str,
+        **attributes,
+    ) -> Tuple[int, int, int, int]:
+        """Fold ``trials`` streamed trials into ``accumulator``, block by block.
+
+        The hot path: handle-free, backend-only tensor math.  Returns
+        ``(trials, rounds, seed_block_trials, n_chunks)`` with the shape
+        validated.
+        """
+        trials, rounds = _validate_shape(trials, rounds)
+        engine = self.engine
+        engine.policy.check_rounds(rounds)
+        block, n_blocks, per_chunk = _plan_blocks(trials, rounds, self.chunk_cells)
+        n_chunks = -(-n_blocks // per_chunk)
+        children = _spawn_block_seeds(self.seed_sequence, n_blocks)
+        capacity = min(per_chunk * block, trials)
+        xp = engine.backend
+        index_dtype = engine.policy.index_dtype(xp)
+        third = _third_draw(engine.delay_model, self._cut_fraction)
+        # Every chunk buffer exists before the first block is drawn, so no
+        # block's draws are alive while a buffer is allocated.
+        buffers = [
+            self._buffer(f"stream.{name}", (capacity, rounds), index_dtype)
+            for name in ("honest", "adversary", third)
+            if name is not None
+        ]
+        sinks = resolve_progress_sinks(progress)
+        reporter = GridProgress(label, n_chunks, sinks) if sinks else None
+        clock = time.perf_counter
+        with _TRACE.span(
+            span,
+            **attributes,
+            trials=trials,
+            rounds=rounds,
+            chunks=n_chunks,
+            blocks=n_blocks,
+        ):
+            for first in range(0, n_blocks, per_chunk):
+                started = clock()
+                blocks = range(first, min(first + per_chunk, n_blocks))
+                sizes = [min(block, trials - index * block) for index in blocks]
+                offset = 0
+                for index, size in zip(blocks, sizes):
+                    honest, adversary, extra = self._draw_block(
+                        size, rounds, children[index]
+                    )
+                    drawn = (honest, adversary, extra.pop(third, None))
+                    for buffer, values in zip(buffers, drawn):
+                        buffer[offset : offset + size] = values
+                    offset += size
+                    del honest, adversary, drawn, values  # free before the next draw
+                # ``extra`` keeps the block-independent keywords (max_delay).
+                tensors = [buffer[:offset] for buffer in buffers]
+                if third is not None:
+                    extra[third] = tensors.pop()
+                result = engine.run_traces(*tensors, **extra)
+                lo = 0
+                for size in sizes:
+                    accumulator.update(result, lo, lo + size)
+                    lo += size
+                if reporter is not None:
+                    reporter.point_done(clock() - started)
+        _METRICS.increment("engine.stream.chunks", n_chunks)
+        _METRICS.increment("engine.stream.blocks", n_blocks)
+        _METRICS.increment("engine.stream.trials", trials)
+        _METRICS.increment("engine.stream.cells", trials * rounds)
+        return trials, rounds, block, n_chunks
+
+    def _buffer(self, tag: str, shape, dtype):
+        if self.workspace is not None:
+            return self.workspace.empty(tag, shape, dtype)
+        return self.engine.backend.empty(shape, dtype=dtype)
+
+    def materialize_traces(self, trials: int, rounds: int):
+        """Full host tensors under the *streamed* draw protocol (audit helper).
+
+        Materialises exactly the per-block draws a streamed run would
+        consume, concatenated — O(trials x rounds) memory, so this is for
+        equivalence tests and audits at modest sizes, not production runs.
+        Returns ``(honest, adversary, third)`` where ``third`` is the
+        minority-split tensor (partial-cut scenarios), the delay tensor
+        (non-trivial delay models) or ``None``.
+        """
+        trials, rounds = _validate_shape(trials, rounds)
+        block, n_blocks, _ = _plan_blocks(trials, rounds, self.chunk_cells)
+        children = _spawn_block_seeds(self.seed_sequence, n_blocks)
+        to_host = self.engine.backend.to_host
+        third = _third_draw(self.engine.delay_model, self._cut_fraction)
+        columns = ([], [], [])
+        for index, child in enumerate(children):
+            size = min(block, trials - index * block)
+            honest, adversary, extra = self._draw_block(size, rounds, child)
+            for column, values in zip(columns, (honest, adversary, extra.get(third))):
+                if values is not None:
+                    column.append(to_host(values))
+        return tuple(
+            np.concatenate(column, axis=0) if column else None for column in columns
+        )
+
+
+class StreamingBatchSimulation(_SeedBlockStream):
     """Chunked, constant-memory execution of the batch Monte Carlo engine.
 
     Parameters
@@ -743,11 +904,7 @@ class StreamingBatchSimulation:
         workspace: Optional[Workspace] = None,
         chunk_cells: Optional[int] = None,
     ):
-        self.params = params
-        self.seed_sequence = derive_seed_sequence(seed)
-        self.chunk_cells = (
-            None if chunk_cells is None else resolve_chunk_cells(chunk_cells)
-        )
+        super().__init__(params, seed, workspace, chunk_cells)
         self.engine = BatchSimulation(
             params,
             rng=0,
@@ -755,22 +912,6 @@ class StreamingBatchSimulation:
             delay_model=delay_model,
             power=power,
         )
-        self.workspace = workspace
-
-    @property
-    def draw_mode(self) -> str:
-        return self.engine.draw_mode
-
-    def _buffer(self, tag: str, shape, dtype):
-        if self.workspace is not None:
-            return self.workspace.empty(tag, shape, dtype)
-        return self.engine.backend.empty(shape, dtype=dtype)
-
-    def _block_sizes(self, trials: int, block: int, first: int, last: int):
-        """Trial counts of seed blocks ``first .. last-1`` (last may be short)."""
-        return [
-            min(block, trials - index * block) for index in range(first, last)
-        ]
 
     def run(
         self,
@@ -787,60 +928,16 @@ class StreamingBatchSimulation:
         (resolved like the runner's grid progress; ``None`` consults
         ``REPRO_PROGRESS``).
         """
-        trials, rounds = _validate_shape(trials, rounds)
-        self.engine.policy.check_rounds(rounds)
-        block, n_blocks, per_chunk = _plan_blocks(trials, rounds, self.chunk_cells)
-        n_chunks = -(-n_blocks // per_chunk)
         accumulator = StreamingAccumulator(depths=depths)
-        children = _spawn_block_seeds(self.seed_sequence, n_blocks)
-        capacity = min(per_chunk * block, trials)
-        xp = self.engine.backend
-        index_dtype = self.engine.policy.index_dtype(xp)
-        honest_buffer = self._buffer("stream.honest", (capacity, rounds), index_dtype)
-        adversary_buffer = self._buffer(
-            "stream.adversary", (capacity, rounds), index_dtype
-        )
-        delay_model = self.engine.delay_model
-        streamed_delays = delay_model is not None and not delay_model.trivial
-        delays_buffer = (
-            self._buffer("stream.delays", (capacity, rounds), index_dtype)
-            if streamed_delays
-            else None
-        )
-        max_delay = (
-            delay_model.delay_cap(self.params.delta, rounds)
-            if streamed_delays
-            else None
-        )
-        sinks = resolve_progress_sinks(progress)
-        reporter = (
-            GridProgress("stream.batch", n_chunks, sinks) if sinks else None
-        )
-        with _TRACE.span(
+        trials, rounds, block, n_chunks = self._stream(
+            accumulator,
+            trials,
+            rounds,
+            progress,
             "stream.run",
-            trials=trials,
-            rounds=rounds,
-            chunks=n_chunks,
-            blocks=n_blocks,
+            "stream.batch",
             draw_mode=self.draw_mode,
-        ):
-            self._stream(
-                accumulator,
-                children,
-                trials,
-                rounds,
-                block,
-                per_chunk,
-                honest_buffer,
-                adversary_buffer,
-                delays_buffer,
-                max_delay,
-                reporter,
-            )
-        _METRICS.increment("engine.stream.chunks", n_chunks)
-        _METRICS.increment("engine.stream.blocks", n_blocks)
-        _METRICS.increment("engine.stream.trials", trials)
-        _METRICS.increment("engine.stream.cells", trials * rounds)
+        )
         return StreamingBatchResult(
             params=self.params,
             trials=trials,
@@ -861,127 +958,17 @@ class StreamingBatchSimulation:
             deficit_histogram=accumulator.deficit_histogram,
         )
 
-    def _stream(
-        self,
-        accumulator: StreamingAccumulator,
-        children,
-        trials: int,
-        rounds: int,
-        block: int,
-        per_chunk: int,
-        honest_buffer,
-        adversary_buffer,
-        delays_buffer,
-        max_delay,
-        reporter,
-    ) -> None:
-        """The chunk loop (hot path: handle-free, backend-only tensor math)."""
-        engine = self.engine
-        params = self.params
-        draw_mode = self.draw_mode
-        power = engine.power
-        xp = engine.backend
-        policy = engine.policy
-        delay_model = engine.delay_model
-        n_blocks = len(children)
-        clock = time.perf_counter
-        for first in range(0, n_blocks, per_chunk):
-            started = clock()
-            last = min(first + per_chunk, n_blocks)
-            sizes = self._block_sizes(trials, block, first, last)
-            offset = 0
-            for position, size in enumerate(sizes):
-                rng = np.random.default_rng(children[first + position])
-                honest, adversary = draw_mining_traces(
-                    params,
-                    size,
-                    rounds,
-                    rng,
-                    draw_mode,
-                    power=power,
-                    backend=xp,
-                    policy=policy,
-                )
-                honest_buffer[offset : offset + size] = honest
-                adversary_buffer[offset : offset + size] = adversary
-                if delays_buffer is not None:
-                    delays_buffer[offset : offset + size] = (
-                        delay_model.draw_delays(size, rounds, params.delta, rng)
-                    )
-                offset += size
-                del honest, adversary  # free before the next block's draw
-            result = engine.run_traces(
-                honest_buffer[:offset],
-                adversary_buffer[:offset],
-                delays=(
-                    delays_buffer[:offset] if delays_buffer is not None else None
-                ),
-                max_delay=max_delay,
-            )
-            lo = 0
-            for size in sizes:
-                accumulator.update(result, lo, lo + size)
-                lo += size
-            if reporter is not None:
-                reporter.point_done(clock() - started)
 
-    def materialize_traces(self, trials: int, rounds: int):
-        """Full host tensors under the *streamed* draw protocol (audit helper).
-
-        Materialises exactly the per-block draws a streamed run would
-        consume, concatenated — O(trials x rounds) memory, so this is for
-        equivalence tests and audits at modest sizes, not production runs.
-        Returns ``(honest, adversary, delays)`` with ``delays`` ``None``
-        under a trivial delay model.
-        """
-        trials, rounds = _validate_shape(trials, rounds)
-        block, n_blocks, _ = _plan_blocks(trials, rounds, self.chunk_cells)
-        children = _spawn_block_seeds(self.seed_sequence, n_blocks)
-        xp = self.engine.backend
-        honest_parts = []
-        adversary_parts = []
-        delay_parts = []
-        delay_model = self.engine.delay_model
-        streamed_delays = delay_model is not None and not delay_model.trivial
-        for index, child in enumerate(children):
-            size = min(block, trials - index * block)
-            rng = np.random.default_rng(child)
-            honest, adversary = draw_mining_traces(
-                self.params,
-                size,
-                rounds,
-                rng,
-                self.draw_mode,
-                power=self.engine.power,
-                backend=xp,
-                policy=self.engine.policy,
-            )
-            honest_parts.append(xp.to_host(honest))
-            adversary_parts.append(xp.to_host(adversary))
-            if streamed_delays:
-                delay_parts.append(
-                    xp.to_host(
-                        delay_model.draw_delays(
-                            size, rounds, self.params.delta, rng
-                        )
-                    )
-                )
-        return (
-            np.concatenate(honest_parts, axis=0),
-            np.concatenate(adversary_parts, axis=0),
-            np.concatenate(delay_parts, axis=0) if streamed_delays else None,
-        )
-
-
-class StreamingScenarioSimulation:
+class StreamingScenarioSimulation(_SeedBlockStream):
     """Chunked, constant-memory execution of one adversarial scenario.
 
     Mirrors :class:`StreamingBatchSimulation` over the dense
-    :class:`~repro.simulation.scenarios.ScenarioSimulation` kernels: the
-    per-block draw protocol is honest tensor, adversarial tensor, then the
-    scenario's third draw (the minority-split tensor for partial-cut
-    scenarios, the delay tensor for non-trivial delay models, nothing
-    otherwise), each block from its own spawned child seed.
+    :class:`~repro.simulation.scenarios.ScenarioSimulation` kernels: each
+    seed block is drawn by :func:`~repro.simulation.batch.draw_traces` —
+    honest tensor, adversarial tensor, then the scenario's third draw (the
+    minority-split tensor for partial-cut scenarios, the delay tensor for
+    non-trivial delay models, nothing otherwise) — from its own spawned
+    child seed.
     """
 
     def __init__(
@@ -996,11 +983,7 @@ class StreamingScenarioSimulation:
         workspace: Optional[Workspace] = None,
         chunk_cells: Optional[int] = None,
     ):
-        self.params = params
-        self.seed_sequence = derive_seed_sequence(seed)
-        self.chunk_cells = (
-            None if chunk_cells is None else resolve_chunk_cells(chunk_cells)
-        )
+        super().__init__(params, seed, workspace, chunk_cells)
         self.engine = ScenarioSimulation(
             params,
             scenario,
@@ -1012,75 +995,23 @@ class StreamingScenarioSimulation:
             workspace=workspace,
         )
         self.scenario = self.engine.scenario
-        self.workspace = workspace
-
-    @property
-    def draw_mode(self) -> str:
-        return self.engine.draw_mode
-
-    _buffer = StreamingBatchSimulation._buffer
-    _block_sizes = StreamingBatchSimulation._block_sizes
+        self._cut_fraction = self.engine._cut_fraction
 
     def run(
         self, trials: int, rounds: int, progress=None
     ) -> StreamingScenarioResult:
         """Stream ``trials`` independent attack trials through the dense scan."""
-        trials, rounds = _validate_shape(trials, rounds)
-        self.engine.policy.check_rounds(rounds)
-        block, n_blocks, per_chunk = _plan_blocks(trials, rounds, self.chunk_cells)
-        n_chunks = -(-n_blocks // per_chunk)
-        accumulator = ScenarioStreamingAccumulator(self.scenario.success_depth)
-        children = _spawn_block_seeds(self.seed_sequence, n_blocks)
-        capacity = min(per_chunk * block, trials)
         engine = self.engine
-        xp = engine.backend
-        index_dtype = engine.policy.index_dtype(xp)
-        honest_buffer = self._buffer("stream.honest", (capacity, rounds), index_dtype)
-        adversary_buffer = self._buffer(
-            "stream.adversary", (capacity, rounds), index_dtype
-        )
-        split_buffer = None
-        delays_buffer = None
-        max_delay = None
-        if engine._cut_fraction is not None:
-            split_buffer = self._buffer(
-                "stream.split", (capacity, rounds), index_dtype
-            )
-        elif engine.delay_model is not None and not engine.delay_model.trivial:
-            delays_buffer = self._buffer(
-                "stream.delays", (capacity, rounds), index_dtype
-            )
-            max_delay = engine.delay_model.delay_cap(self.params.delta, rounds)
-        sinks = resolve_progress_sinks(progress)
-        reporter = (
-            GridProgress("stream.scenario", n_chunks, sinks) if sinks else None
-        )
-        with _TRACE.span(
+        accumulator = ScenarioStreamingAccumulator(self.scenario.success_depth)
+        trials, rounds, block, n_chunks = self._stream(
+            accumulator,
+            trials,
+            rounds,
+            progress,
             "stream.scenario_run",
+            "stream.scenario",
             scenario=self.scenario.name,
-            trials=trials,
-            rounds=rounds,
-            chunks=n_chunks,
-            blocks=n_blocks,
-        ):
-            self._stream(
-                accumulator,
-                children,
-                trials,
-                rounds,
-                block,
-                per_chunk,
-                honest_buffer,
-                adversary_buffer,
-                split_buffer,
-                delays_buffer,
-                max_delay,
-                reporter,
-            )
-        _METRICS.increment("engine.stream.chunks", n_chunks)
-        _METRICS.increment("engine.stream.blocks", n_blocks)
-        _METRICS.increment("engine.stream.trials", trials)
-        _METRICS.increment("engine.stream.cells", trials * rounds)
+        )
         return StreamingScenarioResult(
             params=self.params,
             scenario=self.scenario,
@@ -1104,146 +1035,4 @@ class StreamingScenarioSimulation:
             lemma1_satisfied=accumulator.lemma1_satisfied,
             merge_depth_sum=accumulator.merge_depth_sum,
             has_merge_depths=accumulator.has_merge_depths,
-        )
-
-    def _stream(
-        self,
-        accumulator: ScenarioStreamingAccumulator,
-        children,
-        trials: int,
-        rounds: int,
-        block: int,
-        per_chunk: int,
-        honest_buffer,
-        adversary_buffer,
-        split_buffer,
-        delays_buffer,
-        max_delay,
-        reporter,
-    ) -> None:
-        """The chunk loop (hot path: handle-free, backend-only tensor math)."""
-        engine = self.engine
-        params = self.params
-        draw_mode = self.draw_mode
-        power = engine.power
-        xp = engine.backend
-        policy = engine.policy
-        delay_model = engine.delay_model
-        cut_fraction = engine._cut_fraction
-        n_blocks = len(children)
-        clock = time.perf_counter
-        for first in range(0, n_blocks, per_chunk):
-            started = clock()
-            last = min(first + per_chunk, n_blocks)
-            sizes = self._block_sizes(trials, block, first, last)
-            offset = 0
-            for position, size in enumerate(sizes):
-                rng = np.random.default_rng(children[first + position])
-                honest, adversary = draw_mining_traces(
-                    params,
-                    size,
-                    rounds,
-                    rng,
-                    draw_mode,
-                    power=power,
-                    backend=xp,
-                    policy=policy,
-                )
-                honest_buffer[offset : offset + size] = honest
-                adversary_buffer[offset : offset + size] = adversary
-                if split_buffer is not None:
-                    split_buffer[offset : offset + size] = xp.binomial(
-                        rng,
-                        xp.to_host(honest),
-                        float(cut_fraction),
-                        honest.shape,
-                    )
-                elif delays_buffer is not None:
-                    delays_buffer[offset : offset + size] = (
-                        delay_model.draw_delays(size, rounds, params.delta, rng)
-                    )
-                offset += size
-                del honest, adversary  # free before the next block's draw
-            result = engine.run_traces(
-                honest_buffer[:offset],
-                adversary_buffer[:offset],
-                delays=(
-                    delays_buffer[:offset] if delays_buffer is not None else None
-                ),
-                max_delay=max_delay,
-                split_counts=(
-                    split_buffer[:offset] if split_buffer is not None else None
-                ),
-            )
-            lo = 0
-            for size in sizes:
-                accumulator.update(result, lo, lo + size)
-                lo += size
-            if reporter is not None:
-                reporter.point_done(clock() - started)
-
-    def materialize_traces(self, trials: int, rounds: int):
-        """Full host tensors under the streamed scenario draw protocol.
-
-        Returns ``(honest, adversary, third)`` where ``third`` is the
-        minority-split tensor (partial-cut scenarios), the delay tensor
-        (non-trivial delay models) or ``None``.  O(trials x rounds) memory
-        — an audit/equivalence helper, not a production path.
-        """
-        trials, rounds = _validate_shape(trials, rounds)
-        block, n_blocks, _ = _plan_blocks(trials, rounds, self.chunk_cells)
-        children = _spawn_block_seeds(self.seed_sequence, n_blocks)
-        engine = self.engine
-        xp = engine.backend
-        honest_parts = []
-        adversary_parts = []
-        third_parts = []
-        delay_model = engine.delay_model
-        cut_fraction = engine._cut_fraction
-        streamed_delays = (
-            cut_fraction is None
-            and delay_model is not None
-            and not delay_model.trivial
-        )
-        for index, child in enumerate(children):
-            size = min(block, trials - index * block)
-            rng = np.random.default_rng(child)
-            honest, adversary = draw_mining_traces(
-                self.params,
-                size,
-                rounds,
-                rng,
-                self.draw_mode,
-                power=engine.power,
-                backend=xp,
-                policy=engine.policy,
-            )
-            honest_parts.append(xp.to_host(honest))
-            adversary_parts.append(xp.to_host(adversary))
-            if cut_fraction is not None:
-                third_parts.append(
-                    xp.to_host(
-                        xp.binomial(
-                            rng,
-                            xp.to_host(honest),
-                            float(cut_fraction),
-                            honest.shape,
-                        )
-                    )
-                )
-            elif streamed_delays:
-                third_parts.append(
-                    xp.to_host(
-                        delay_model.draw_delays(
-                            size, rounds, self.params.delta, rng
-                        )
-                    )
-                )
-        third = (
-            np.concatenate(third_parts, axis=0) if third_parts else None
-        )
-        return (
-            np.concatenate(honest_parts, axis=0),
-            np.concatenate(adversary_parts, axis=0),
-            third,
         )

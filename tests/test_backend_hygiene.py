@@ -50,6 +50,7 @@ ALLOWED_ATTRS = {"ndarray", "random"}
 HOT_PATHS = [
     (numpy_backend, "NumpyBackend.binomial"),
     (batch, "draw_mining_traces"),
+    (batch, "draw_traces"),
     (batch, "_bernoulli_counts"),
     (batch, "count_convergence_opportunities_batch"),
     (batch, "fixed_delta_opportunity_mask"),
@@ -57,6 +58,7 @@ HOT_PATHS = [
     (batch, "BatchSimulation.run"),
     (batch, "BatchSimulation.run_traces"),
     (scenarios, "_max_window_successes"),
+    (scenarios, "ScenarioSimulation.run"),
     (scenarios, "ScenarioSimulation.run_traces"),
     (scenarios, "ScenarioSimulation._scan"),
     (topology, "convergence_opportunity_mask_with_delays"),
@@ -71,8 +73,8 @@ HOT_PATHS = [
     (dynamics, "compile_schedule"),
     (dynamics, "TimeVaryingDelayModel.draw_delays"),
     (rare_events, "draw_tilted_traces"),
-    (streaming, "StreamingBatchSimulation._stream"),
-    (streaming, "StreamingScenarioSimulation._stream"),
+    (streaming, "_SeedBlockStream._stream"),
+    (streaming, "_SeedBlockStream._draw_block"),
     (streaming, "StreamingAccumulator.update"),
     (streaming, "ScenarioStreamingAccumulator.update"),
     (streaming, "OnlineMoments.update"),

@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from repro.errors import ObservabilityError
 from repro.observability import (
     PROGRESS_ENV_VAR,
     PROGRESS_SCHEMA,
@@ -166,6 +167,24 @@ class TestRunnerProgress:
         ]
         assert [event["completed"] for event in events] == [1, 2]
         assert events[0]["label"] == "runner.run_rare_event_grid"
+
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_unwritable_env_path_fails_before_any_point(
+        self, tmp_path, monkeypatch, processes
+    ):
+        """A REPRO_PROGRESS path under a regular file is refused by name when
+        the runner is built, so no point is computed or cached."""
+        blocker = tmp_path / "not_a_directory"
+        blocker.write_text("")
+        path = blocker / "progress.jsonl"
+        monkeypatch.setenv(PROGRESS_ENV_VAR, str(path))
+        cache = tmp_path / "cache"
+        with pytest.raises(ObservabilityError, match=PROGRESS_ENV_VAR) as caught:
+            ExperimentRunner(
+                base_seed=1, cache_dir=str(cache), processes=processes
+            ).run_grid(POINTS, 4, 100)
+        assert str(path) in str(caught.value)
+        assert not cache.exists() or not any(cache.iterdir())
 
     def test_no_sinks_means_no_reporter(self):
         runner = ExperimentRunner(base_seed=1)

@@ -182,7 +182,85 @@ class TestSeedBlocks:
             assert a.generate_state(4).tolist() == c.generate_state(4).tolist()
 
 
+def _third_draw_engines(partition_start: int, partition_duration: int) -> dict:
+    """Streamed engines whose draw takes a third tensor after the two mining
+    tensors: the delays of a non-trivial delay model (an explicit one, or the
+    time-varying model a full-eclipse PartitionScenario builds) or the
+    minority split of a partial cut.  Each value is ``(engine factory taking
+    chunk_cells, run kwargs)``; the partitions cut the given window."""
+
+    def partition(name, target_depth, cut_fraction=None):
+        return PartitionScenario(
+            name=name,
+            kind="private_chain",
+            target_depth=target_depth,
+            partition_start=partition_start,
+            partition_duration=partition_duration,
+            cut_fraction=cut_fraction,
+        )
+
+    return {
+        "uniform_delay_batch": (
+            lambda chunk: StreamingBatchSimulation(
+                PARAMS, seed=BASE_SEED, delay_model="uniform", chunk_cells=chunk
+            ),
+            {"depths": (1, 2)},
+        ),
+        "uniform_delay_private_chain": (
+            lambda chunk: StreamingScenarioSimulation(
+                PARAMS,
+                "private_chain",
+                seed=BASE_SEED,
+                delay_model="uniform",
+                chunk_cells=chunk,
+            ),
+            {},
+        ),
+        "eclipse_partition": (
+            lambda chunk: StreamingScenarioSimulation(
+                PARAMS,
+                partition("eclipse_stream", 1),
+                seed=BASE_SEED,
+                chunk_cells=chunk,
+            ),
+            {},
+        ),
+        "partial_cut_partition": (
+            lambda chunk: StreamingScenarioSimulation(
+                PARAMS,
+                partition("cut_stream", 2, cut_fraction=0.3),
+                seed=BASE_SEED,
+                chunk_cells=chunk,
+            ),
+            {},
+        ),
+    }
+
+
+THIRD_DRAW_CONFIGS = _third_draw_engines(partition_start=50, partition_duration=40)
+
+#: Every streamed engine shape the chunk-invariance property covers: plain
+#: batch and scenario runs plus each third-draw variant, with the cut
+#: window inside the property's short runs.
+CHUNK_INVARIANCE_ENGINES = {
+    "batch": (
+        lambda chunk: StreamingBatchSimulation(
+            PARAMS, seed=BASE_SEED, chunk_cells=chunk
+        ),
+        {"depths": (1,)},
+    ),
+    "private_chain": (
+        lambda chunk: StreamingScenarioSimulation(
+            PARAMS, "private_chain", seed=BASE_SEED, chunk_cells=chunk
+        ),
+        {},
+    ),
+    **_third_draw_engines(partition_start=4, partition_duration=8),
+}
+
+
 class TestChunkInvariance:
+    @pytest.mark.parametrize("engine", sorted(CHUNK_INVARIANCE_ENGINES))
     @given(
         trials=st.integers(min_value=1, max_value=50),
         rounds=st.integers(min_value=1, max_value=24),
@@ -195,17 +273,15 @@ class TestChunkInvariance:
     )
     @settings(max_examples=25, deadline=None)
     def test_arbitrary_chunk_splits_are_bit_identical(
-        self, trials, rounds, chunk_cells, block_cells
+        self, engine, trials, rounds, chunk_cells, block_cells
     ):
         """Property: chunk=1 cell, chunk>run, anything between — the streamed
-        summary is bit-identical to the single-chunk reference."""
+        summary is bit-identical to the single-chunk reference, for every
+        engine and third draw."""
+        factory, kwargs = CHUNK_INVARIANCE_ENGINES[engine]
         with _seed_block_cells(block_cells):
-            reference = StreamingBatchSimulation(
-                PARAMS, seed=BASE_SEED, chunk_cells=10**9
-            ).run(trials, rounds, depths=(1,))
-            streamed = StreamingBatchSimulation(
-                PARAMS, seed=BASE_SEED, chunk_cells=chunk_cells
-            ).run(trials, rounds, depths=(1,))
+            reference = factory(10**9).run(trials, rounds, **kwargs)
+            streamed = factory(chunk_cells).run(trials, rounds, **kwargs)
         assert _state(streamed) == _state(reference)
         assert streamed.summary() == reference.summary()
 
@@ -232,60 +308,6 @@ class TestChunkInvariance:
         second = simulation.run(300, 200, depths=(1,))
         assert first.payload() == second.payload()
 
-
-#: Streamed configurations whose draw takes a third tensor after the two
-#: mining tensors: the delays of a non-trivial delay model (an explicit one,
-#: or the time-varying model a full-eclipse PartitionScenario builds) or the
-#: minority split of a partial cut.  Each is ``(engine factory, run kwargs)``.
-THIRD_DRAW_CONFIGS = {
-    "uniform_delay_batch": (
-        lambda chunk: StreamingBatchSimulation(
-            PARAMS, seed=BASE_SEED, delay_model="uniform", chunk_cells=chunk
-        ),
-        {"depths": (1, 2)},
-    ),
-    "uniform_delay_private_chain": (
-        lambda chunk: StreamingScenarioSimulation(
-            PARAMS,
-            "private_chain",
-            seed=BASE_SEED,
-            delay_model="uniform",
-            chunk_cells=chunk,
-        ),
-        {},
-    ),
-    "eclipse_partition": (
-        lambda chunk: StreamingScenarioSimulation(
-            PARAMS,
-            PartitionScenario(
-                name="eclipse_stream",
-                kind="private_chain",
-                target_depth=1,
-                partition_start=50,
-                partition_duration=40,
-            ),
-            seed=BASE_SEED,
-            chunk_cells=chunk,
-        ),
-        {},
-    ),
-    "partial_cut_partition": (
-        lambda chunk: StreamingScenarioSimulation(
-            PARAMS,
-            PartitionScenario(
-                name="cut_stream",
-                kind="private_chain",
-                target_depth=2,
-                partition_start=50,
-                partition_duration=40,
-                cut_fraction=0.3,
-            ),
-            seed=BASE_SEED,
-            chunk_cells=chunk,
-        ),
-        {},
-    ),
-}
 
 #: sha256 of each configuration's streamed payload (minus ``n_chunks``) at
 #: 300 trials x 200 rounds in 81-trial seed blocks.  Any change to the
